@@ -16,7 +16,8 @@ Two jobs share this module:
   plus the disabled span's per-call cost in nanoseconds — writing the
   report to ``BENCH_campaign.json`` at the repo root.  The committed
   copy pins the ≥5x warm-read speedup this repo claims for
-  ``--cache-tier sqlite`` and the near-zero disabled-telemetry cost;
+  ``--cache-tier sqlite`` and the disabled-telemetry cost (a few
+  hundred ns per no-op span);
   regenerate it on quiet hardware after touching the cache or
   telemetry layers.
 
@@ -161,9 +162,7 @@ def test_block_drill_respects_round_trip_bound(tmp_path):
     leases = synthetic_leases(120)
     payload = [{"critical_fraction": 0.5, "ci95": 0.01, "n_runs": 12}]
     for block in (1, 16):
-        row = _drain_drill(
-            tmp_path / f"q-{block}", leases, block, payload, False
-        )
+        row = _drain_drill(tmp_path / f"q-{block}", leases, block, payload)
         assert row["write_txns"] <= math.ceil(len(leases) / block) + 1
 
 
@@ -367,19 +366,16 @@ def measure_telemetry(
     }
 
 
-def _drain_drill(
-    root: Path, leases: list, block: int, payload: list, object_store: bool
-) -> dict:
+def _drain_drill(root: Path, leases: list, block: int, payload: list) -> dict:
     """Drain a fresh queue through the block protocol; verify, then time.
 
-    Returns the elapsed seconds, the write transactions spent from
-    enqueue to drained (the round-trip bound under test), and the
-    checkpointed database size.  Every row is read back through the
-    paged harvest and compared against the payload — the parity check
-    rides inside the timed rep, exactly like the other sections.
+    Returns the elapsed seconds and the write transactions spent from
+    enqueue to drained (the round-trip bound under test).  Every row is
+    read back through the paged harvest and compared against the
+    payload — the parity check rides inside the timed rep, exactly like
+    the other sections.
     """
     queue = WorkQueue(root)
-    queue.object_store = object_store
     queue.enqueue(leases)
     start_txns = queue.round_trips
     gc.collect()
@@ -406,18 +402,7 @@ def _drain_drill(
             break
     assert len(fetched) == len(leases)
     assert all(flats == payload for flats in fetched.values())
-    queue._connect().execute("PRAGMA wal_checkpoint(TRUNCATE)")
-    db_bytes = queue._disk_bytes()
-    n_objects, object_bytes = (
-        queue.objects.stats() if object_store else (0, 0)
-    )
-    return {
-        "seconds": elapsed,
-        "write_txns": txns,
-        "db_bytes": db_bytes,
-        "n_objects": n_objects,
-        "object_bytes": object_bytes,
-    }
+    return {"seconds": elapsed, "write_txns": txns}
 
 
 def measure_queue_overhead(
@@ -428,41 +413,21 @@ def measure_queue_overhead(
     The drill is evaluation-free, so points/sec here is the ceiling the
     queue imposes on any campaign; the committed report pins the >= 5x
     per-point overhead reduction block leasing claims at block 64 vs the
-    original row-at-a-time protocol.  A second A/B drains an ~8 KiB
-    payload with the content-addressed object store off and on, at the
-    largest block, to report the database-size effect of indirecting
-    repeated large payloads.
+    original row-at-a-time protocol.
     """
     leases = synthetic_leases(n_leases)
     small_payload = [{"critical_fraction": 0.5, "ci95": 0.01, "n_runs": 12}]
-    big_payload = [
-        {f"metric_{index:03d}": float(index) for index in range(600)}
-    ]
-    n_store = min(n_leases, 2000)
-    store_leases = leases[:n_store]
     block_s = {block: [] for block in blocks}
     block_txns = {}
-    store_s = {False: [], True: []}
-    store_rows = {}
     for _ in range(reps):
         for block in blocks:  # interleaved: drift hits every block size
             root = Path(tempfile.mkdtemp(prefix=f"bench-queue-{block}-"))
             try:
-                row = _drain_drill(root, leases, block, small_payload, False)
+                row = _drain_drill(root, leases, block, small_payload)
             finally:
                 shutil.rmtree(root, ignore_errors=True)
             block_s[block].append(row["seconds"])
             block_txns[block] = row["write_txns"]
-        for flag in (False, True):
-            root = Path(tempfile.mkdtemp(prefix="bench-queue-objstore-"))
-            try:
-                row = _drain_drill(
-                    root, store_leases, max(blocks), big_payload, flag
-                )
-            finally:
-                shutil.rmtree(root, ignore_errors=True)
-            store_s[flag].append(row["seconds"])
-            store_rows[flag] = row
     biggest, smallest = max(blocks), min(blocks)
     per_point = {
         block: min(times) / n_leases for block, times in block_s.items()
@@ -484,22 +449,6 @@ def measure_queue_overhead(
         "overhead_reduction_block64_vs_block1": round(
             per_point[smallest] / per_point[biggest], 2
         ),
-        "object_store": {
-            "n_leases": n_store,
-            "block": biggest,
-            "payload_bytes": len(json.dumps(big_payload)),
-            "off_seconds": round(min(store_s[False]), 4),
-            "on_seconds": round(min(store_s[True]), 4),
-            "off_db_bytes": store_rows[False]["db_bytes"],
-            "on_db_bytes": store_rows[True]["db_bytes"],
-            "on_object_bytes": store_rows[True]["object_bytes"],
-            "n_objects": store_rows[True]["n_objects"],
-            "db_bytes_reduction": round(
-                store_rows[False]["db_bytes"]
-                / max(1, store_rows[True]["db_bytes"]),
-                1,
-            ),
-        },
     }
 
 
@@ -546,8 +495,7 @@ def main(argv=None) -> int:
             "backends; cold-vs-warm campaign wall time per cache tier; "
             "campaign throughput with telemetry recording disabled vs "
             "enabled (plus the disabled span's per-call cost); pure "
-            "queue overhead per point at lease-block sizes 1/16/64 and "
-            "the object-store database-size effect. "
+            "queue overhead per point at lease-block sizes 1/16/64. "
             "Payload parity verified inside every timed rep."
         ),
         "method": (
@@ -620,10 +568,7 @@ def main(argv=None) -> int:
             )
         print(
             f"  per-point overhead reduction block 64 vs 1: "
-            f"{queue['overhead_reduction_block64_vs_block1']:.1f}x;"
-            f" object store db "
-            f"{queue['object_store']['off_db_bytes']} -> "
-            f"{queue['object_store']['on_db_bytes']} bytes",
+            f"{queue['overhead_reduction_block64_vs_block1']:.1f}x",
             flush=True,
         )
         report["queue"] = queue

@@ -148,13 +148,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "points for million-point campaigns — a "
                              "mid-block worker crash still re-queues only "
                              "its unfinished points)")
-    parser.add_argument("--object-store", action="store_true",
-                        help="store large flat-metrics payloads once in a "
-                             "content-addressed object store and reference "
-                             "them by hash from queue rows, journal lines "
-                             "and both cache tiers (results are "
-                             "bit-identical; references stay readable "
-                             "after the flag is dropped)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
@@ -288,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "worker heartbeat ages and the recent "
                             "completion rate with an ETA; "
                             "compact: drop completed rows, sweep dead "
-                            "heartbeats and unreferenced objects, and "
-                            "reclaim the freed database pages")
+                            "heartbeats, and reclaim the freed database "
+                            "pages")
     queue.add_argument("--queue", required=True, metavar="DIR",
                        help="the campaign's work-queue directory")
     queue.add_argument("--window-s", type=float, default=60.0,
@@ -415,7 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             failure_policy=_failure_policy_from(args),
             resume=args.resume,
             lease_block=args.lease_block,
-            object_store=args.object_store,
             telemetry_dir=telemetry_dir,
         ):
             if args.command == "run":
@@ -572,12 +564,6 @@ def _run_cache(args: argparse.Namespace) -> int:
                 "campaigns resume from these — swept by `cache purge` "
                 "[--max-age-days N])"
             )
-        if stats.n_objects:
-            print(
-                f"objects: {stats.n_objects} content-addressed payloads "
-                f"({_format_bytes(stats.object_bytes)}; unreferenced ones "
-                "swept by `cache purge`)"
-            )
         for kind, count in stats.by_kind:
             print(f"  {kind:12s} {count}")
         return 0
@@ -608,11 +594,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         print(
             f"swept {removed.journals_swept} orphaned campaign journals "
             f"({_format_bytes(removed.journal_bytes)} reclaimed)"
-        )
-    if removed.objects_swept:
-        print(
-            f"swept {removed.objects_swept} unreferenced objects "
-            f"({_format_bytes(removed.object_bytes)} reclaimed)"
         )
     return 0
 
@@ -665,11 +646,6 @@ def _run_queue(args: argparse.Namespace) -> int:
             f"{report['results_dropped']} orphaned results, "
             f"swept {report['heartbeats_swept']} dead heartbeats"
         )
-        if report["objects_swept"]:
-            print(
-                f"swept {report['objects_swept']} unreferenced objects "
-                f"({_format_bytes(report['object_bytes'])} reclaimed)"
-            )
         print(
             f"database: {_format_bytes(report['bytes_before'])} -> "
             f"{_format_bytes(report['bytes_after'])} "

@@ -169,6 +169,9 @@ class TelemetryRecorder:
     ) -> None:
         self.directory = Path(directory)
         self.role = role
+        #: The creating process; a forked child sees a different pid and
+        #: must not record through this instance (see ensure_recorder).
+        self.pid = os.getpid()
         if source is None:
             source = f"{socket.gethostname()}-{os.getpid()}"
         self.source = source
@@ -364,9 +367,27 @@ def ensure_recorder(directory: Optional[Union[str, Path]],
     ``ExecutionConfig.telemetry_dir`` enables telemetry for library
     callers that never went through the CLI, without double-installing
     over a recorder the CLI (or a test) already set up.
+
+    A live recorder inherited across ``fork`` (pool and queue workers)
+    names the parent process in its ``source``, ``role`` and event file,
+    so it is replaced by a fresh recorder for this process and ``role``
+    in the same directory.  The inherited one is dropped, not closed:
+    closing it would write the parent's counters from the child.  A
+    custom sink installed with :func:`set_recorder` that records no
+    ``pid`` is kept as is.
     """
+    global _recorder
     current = get_recorder()
-    if current.enabled or not directory:
+    if current.enabled:
+        if getattr(current, "pid", None) in (None, os.getpid()):
+            return current
+        _recorder = TelemetryRecorder(
+            current.directory,
+            role=role,
+            torn_write_rate=current.torn_write_rate,
+        )
+        return _recorder
+    if not directory:
         return current
     return install_recorder(directory, role=role)
 

@@ -85,7 +85,6 @@ from repro.runners.failures import (
 )
 from repro.runners.faults import FaultPlan
 from repro.runners.journal import CampaignJournal
-from repro.runners.object_store import ObjectStore
 from repro.runners.queue import ShardedBackend, WorkQueue, worker_loop
 from repro.runners.points import (
     DetailedPointMetrics,
@@ -126,7 +125,6 @@ __all__ = [
     "FailurePolicy",
     "FaultPlan",
     "IdealPointMetrics",
-    "ObjectStore",
     "PercolationPointMetrics",
     "ProcessPoolBackend",
     "PurgeReport",

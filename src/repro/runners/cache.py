@@ -45,11 +45,6 @@ from typing import (
 
 from repro.obs import get_recorder
 from repro.runners.faults import cache_write_corrupted
-from repro.runners.object_store import (
-    ObjectStore,
-    object_marker_ref,
-    refs_in_text,
-)
 
 #: Bumped whenever the serialized payload layout or the semantics of a
 #: cached metric change; old entries then read as misses.
@@ -83,10 +78,6 @@ class CacheStats:
     #: ``--resume`` replays them or an age-gated purge sweeps them.
     n_journals: int = 0
     journal_bytes: int = 0
-    #: Content-addressed payload objects (``objects/``) entries and
-    #: journals reference instead of inlining large metrics dicts.
-    n_objects: int = 0
-    object_bytes: int = 0
 
 
 class PurgeReport(int):
@@ -106,8 +97,6 @@ class PurgeReport(int):
     entry_bytes: int
     journals_swept: int
     journal_bytes: int
-    objects_swept: int
-    object_bytes: int
 
     def __new__(
         cls,
@@ -118,8 +107,6 @@ class PurgeReport(int):
         entry_bytes: int = 0,
         journals_swept: int = 0,
         journal_bytes: int = 0,
-        objects_swept: int = 0,
-        object_bytes: int = 0,
     ) -> "PurgeReport":
         self = super().__new__(cls, removed)
         self.tmp_swept = tmp_swept
@@ -128,8 +115,6 @@ class PurgeReport(int):
         self.entry_bytes = entry_bytes
         self.journals_swept = journals_swept
         self.journal_bytes = journal_bytes
-        self.objects_swept = objects_swept
-        self.object_bytes = object_bytes
         return self
 
     def __str__(self) -> str:
@@ -142,9 +127,7 @@ class PurgeReport(int):
             f"tmp_bytes={self.tmp_bytes}, corrupt_swept={self.corrupt_swept}, "
             f"entry_bytes={self.entry_bytes}, "
             f"journals_swept={self.journals_swept}, "
-            f"journal_bytes={self.journal_bytes}, "
-            f"objects_swept={self.objects_swept}, "
-            f"object_bytes={self.object_bytes})"
+            f"journal_bytes={self.journal_bytes})"
         )
 
 
@@ -182,7 +165,6 @@ class ResultCache:
         self,
         root: Optional[Union[str, Path]] = None,
         max_size_mb: Optional[float] = None,
-        object_store: bool = False,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if max_size_mb is None:
@@ -190,11 +172,6 @@ class ResultCache:
         if max_size_mb is not None and max_size_mb < 0:
             raise ValueError(f"max_size_mb must be >= 0, got {max_size_mb}")
         self.max_size_mb = max_size_mb
-        #: Whether *writes* indirect large metrics dicts through the
-        #: content-addressed object store; reads always resolve markers
-        #: regardless, so entries stay portable across the setting.
-        self.object_store = bool(object_store)
-        self.objects = ObjectStore(self.root)
         #: Corrupt entries this instance moved aside (see ``_quarantine``).
         self.quarantined = 0
         self._write_failed = False
@@ -237,16 +214,6 @@ class ResultCache:
             self._quarantine(path)
             recorder.counter("cache.file.miss")
             return None
-        if object_marker_ref(payload["metrics"]) is not None:
-            metrics = self.objects.resolve(payload["metrics"])
-            if metrics is None:
-                # The referenced object was swept or torn: the entry is
-                # unusable but the row itself is fine — read as a miss
-                # and let the recompute rewrite both.
-                recorder.counter("cache.file.miss")
-                return None
-            payload = dict(payload)
-            payload["metrics"] = metrics
         recorder.counter("cache.file.hit")
         return payload
 
@@ -294,8 +261,6 @@ class ResultCache:
             return
         record = dict(payload)
         record["version"] = CACHE_VERSION
-        if self.object_store and isinstance(record.get("metrics"), dict):
-            record["metrics"] = self.objects.encode(record["metrics"])
         path = self._path(key)
         text = json.dumps(record, sort_keys=True)
         if cache_write_corrupted(key):
@@ -429,7 +394,6 @@ class ResultCache:
             except OSError:
                 continue  # raced with a concurrent sweep
             n_journals += 1
-        n_objects, object_bytes = self.objects.stats()
         return CacheStats(
             root=str(self.root),
             n_entries=n_entries,
@@ -439,8 +403,6 @@ class ResultCache:
             n_quarantined=n_quarantined,
             n_journals=n_journals,
             journal_bytes=journal_bytes,
-            n_objects=n_objects,
-            object_bytes=object_bytes,
         )
 
     #: Orphaned ``.tmp`` files younger than this many seconds are left
@@ -454,7 +416,6 @@ class ResultCache:
         max_size_mb: Optional[float] = None,
         now: Optional[float] = None,
         tmp_age_s: Optional[float] = None,
-        keep_object_refs: Optional[Sequence[str]] = None,
     ) -> "PurgeReport":
         """Delete stored entries; returns how many were removed.
 
@@ -475,13 +436,6 @@ class ResultCache:
         to a campaign nobody is resuming).  The return value is an
         ``int``-compatible :class:`PurgeReport` carrying what each sweep
         reclaimed.
-
-        Content-addressed objects are garbage-collected by liveness:
-        after the entry/journal sweeps, any object no surviving entry or
-        journal references is removed.  ``keep_object_refs`` adds
-        references held elsewhere (the SQLite tier passes its surviving
-        rows', so a write-through mirror purge never strands the
-        database's payloads).
 
         Empty shard directories are cleaned up too; the root itself is
         left in place (it may be a shared cache directory).
@@ -593,12 +547,6 @@ class ResultCache:
             journals_swept, journal_bytes = self._sweep_journals(
                 sweep_age_s, reference
             )
-        objects_swept = 0
-        object_bytes = 0
-        if self.objects.exists():
-            keep = self._live_object_refs()
-            keep.update(keep_object_refs or ())
-            objects_swept, object_bytes = self.objects.sweep(keep)
         return PurgeReport(
             removed,
             tmp_swept=tmp_swept,
@@ -607,25 +555,7 @@ class ResultCache:
             entry_bytes=entry_bytes,
             journals_swept=journals_swept,
             journal_bytes=journal_bytes,
-            objects_swept=objects_swept,
-            object_bytes=object_bytes,
         )
-
-    def _live_object_refs(self) -> set:
-        """Every object ref the surviving entries and journals mention.
-
-        One text scan per file; only runs when the object store has ever
-        been used (``objects/`` exists), so object-free caches pay
-        nothing at purge time.
-        """
-        refs: set = set()
-        for path in list(self.entry_paths()) + list(self.journal_paths()):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue  # raced with a concurrent sweep
-            refs |= refs_in_text(text)
-        return refs
 
     def journal_paths(self) -> Iterator[Path]:
         """Every campaign journal beside this cache, in no set order."""

@@ -328,15 +328,11 @@ def run_campaign(
                 from repro.runners.sqlite_tier import SQLiteCacheTier
 
                 store = SQLiteCacheTier(
-                    cache_dir,
-                    max_size_mb=config.cache_max_size_mb,
-                    object_store=config.object_store,
+                    cache_dir, max_size_mb=config.cache_max_size_mb
                 )
             else:
                 store = ResultCache(
-                    cache_dir,
-                    max_size_mb=config.cache_max_size_mb,
-                    object_store=config.object_store,
+                    cache_dir, max_size_mb=config.cache_max_size_mb
                 )
 
     journal_store: Optional[CampaignJournal] = None
@@ -345,14 +341,8 @@ def run_campaign(
     elif isinstance(journal, (str, Path)):
         journal_store = CampaignJournal(journal)
     elif journal is None and store is not None:
-        # Share the cache's object store so journal lines reference the
-        # same stored payloads (markers still resolve when disabled).
         journal_store = CampaignJournal.for_campaign(
-            store.root,
-            spec.content_hash(),
-            object_store=(
-                getattr(store, "objects", None) if config.object_store else None
-            ),
+            store.root, spec.content_hash()
         )
     # journal=False (or no cache to sit beside) disables journaling.
 

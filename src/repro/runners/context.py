@@ -84,11 +84,6 @@ class ExecutionConfig:
     #: mid-block worker death still re-queues only the unfinished leases
     #: (see ``WorkQueue.complete_and_claim``).
     lease_block: int = 1
-    #: Store large flat-metrics payloads once in the content-addressed
-    #: object store (``runners/object_store.py``) and reference them by
-    #: hash from queue rows, journal lines and both cache tiers.  Off by
-    #: default; readers resolve references regardless of this flag.
-    object_store: bool = False
     #: Structured-telemetry directory (the CLI's ``--telemetry``); ``None``
     #: leaves the process-wide recorder alone (no-op unless
     #: ``$REPRO_TELEMETRY`` is set).  Workers inherit it — pool workers

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.runners.failures import RunFailure
-from repro.runners.object_store import ObjectStore, object_marker_ref
 
 #: Bumped if the journal line layout changes; old lines then replay as
 #: unknown events (skipped), never as wrong results.
@@ -51,31 +50,17 @@ class CampaignJournal:
     it is there to protect.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        object_store: Optional[ObjectStore] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._handle = None
         self._write_failed = False
-        #: When set, large metrics dicts are journaled as content refs
-        #: (shared with the cache tiers); ``load`` resolves markers
-        #: whether or not a store was passed.
-        self.object_store = object_store
 
     @classmethod
     def for_campaign(
-        cls,
-        cache_root: Union[str, Path],
-        spec_hash: str,
-        object_store: Optional[ObjectStore] = None,
+        cls, cache_root: Union[str, Path], spec_hash: str
     ) -> "CampaignJournal":
         """The default journal location beside the result cache."""
-        return cls(
-            Path(cache_root) / "journal" / f"{spec_hash}.jsonl",
-            object_store=object_store,
-        )
+        return cls(Path(cache_root) / "journal" / f"{spec_hash}.jsonl")
 
     @property
     def exists(self) -> bool:
@@ -85,8 +70,6 @@ class CampaignJournal:
         self, key: str, kind: str, seed: int, metrics: Dict[str, Any]
     ) -> None:
         """Record one completed run (flat metrics, cache-payload form)."""
-        if self.object_store is not None:
-            metrics = self.object_store.encode(metrics)
         self._append(
             {"event": "result", "key": key, "kind": kind, "seed": seed,
              "metrics": metrics}
@@ -146,31 +129,12 @@ class CampaignJournal:
                 and isinstance(record.get("key"), str)
                 and isinstance(record.get("metrics"), dict)
             ):
-                metrics = record["metrics"]
-                if object_marker_ref(metrics) is not None:
-                    # Content-addressed line: resolve it; a swept object
-                    # degrades to a skipped line (the point re-runs).
-                    metrics = self._objects().resolve(metrics)
-                    if not isinstance(metrics, dict):
-                        replay.skipped += 1
-                        continue
-                replay.results[record["key"]] = metrics
+                replay.results[record["key"]] = record["metrics"]
             elif event == "failure" and isinstance(record.get("key"), str):
                 replay.failures.append(record)
             else:
                 replay.skipped += 1
         return replay
-
-    def _objects(self) -> ObjectStore:
-        """The store markers resolve against (shared or path-derived).
-
-        ``for_campaign`` journals live at ``<cache_root>/journal/``, so
-        when no store was handed in, the cache root two levels up is
-        where any referenced objects must be.
-        """
-        if self.object_store is None:
-            self.object_store = ObjectStore(self.path.parent.parent)
-        return self.object_store
 
     def close(self) -> None:
         """Flush and release the append handle (journal file kept)."""

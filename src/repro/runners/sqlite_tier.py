@@ -47,7 +47,6 @@ from repro.runners.cache import (
     default_max_size_mb,
 )
 from repro.runners.faults import cache_write_corrupted
-from repro.runners.object_store import object_marker_ref, refs_in_text
 
 #: Database file name inside the cache root.
 DB_FILENAME = "cache.sqlite"
@@ -105,10 +104,6 @@ class SQLiteCacheTier:
         evictions remove the mirrored JSON files too.
     write_through:
         Mirror every write into the JSON file layer (default on).
-    object_store:
-        Replace large flat-metrics payloads with content-addressed
-        references (shared with the file layer, which gets the same
-        flag); markers are resolved on read regardless of the flag.
     """
 
     def __init__(
@@ -117,16 +112,11 @@ class SQLiteCacheTier:
         max_size_mb: Optional[float] = None,
         write_through: bool = True,
         busy_timeout_s: float = BUSY_TIMEOUT_S,
-        object_store: bool = False,
     ) -> None:
         # The file layer carries no budget of its own: the tier owns
         # eviction and removes mirrored files alongside evicted rows.
-        self.files = ResultCache(root, max_size_mb=0.0 or None, object_store=object_store)
+        self.files = ResultCache(root, max_size_mb=0.0 or None)
         self.files.max_size_mb = None
-        self.object_store = bool(object_store)
-        #: Shared with the file layer so write-through entries and
-        #: database rows reference the same stored objects.
-        self.objects = self.files.objects
         self.root = self.files.root
         if max_size_mb is None:
             max_size_mb = default_max_size_mb()
@@ -278,8 +268,6 @@ class SQLiteCacheTier:
         for key, payload in items.items():
             record = dict(payload)
             record["version"] = CACHE_VERSION
-            if self.object_store and isinstance(record.get("metrics"), dict):
-                record["metrics"] = self.objects.encode(record["metrics"])
             text = json.dumps(record, sort_keys=True)
             if cache_write_corrupted(key):
                 # Injected torn write (same draw as the file layer):
@@ -333,15 +321,6 @@ class SQLiteCacheTier:
                     corrupt.append((key, text))
                     continue
                 if type(payload) is dict and "metrics" in payload:
-                    if object_marker_ref(payload["metrics"]) is not None:
-                        # Content-addressed payload: resolve the marker;
-                        # a swept or corrupt object is a plain miss (the
-                        # row itself is fine — recomputing rewrites both).
-                        metrics = self.objects.resolve(payload["metrics"])
-                        if metrics is None:
-                            continue
-                        payload = dict(payload)
-                        payload["metrics"] = metrics
                     found[key] = payload
                 else:
                     corrupt.append((key, text))
@@ -528,8 +507,6 @@ class SQLiteCacheTier:
             n_quarantined=quarantined,
             n_journals=file_stats.n_journals,
             journal_bytes=file_stats.journal_bytes,
-            n_objects=file_stats.n_objects,
-            object_bytes=file_stats.object_bytes,
         )
 
     def purge(
@@ -609,25 +586,11 @@ class SQLiteCacheTier:
                     self.files._path(key).unlink()
                 except OSError:
                     continue
-        # Surviving database rows may reference objects no JSON file
-        # mentions (write-through off, or mirror removed): hand their
-        # refs to the file layer's liveness sweep so it never unlinks
-        # an object this tier can still resolve.
-        keep_refs: List[str] = []
-
-        def collect(con: sqlite3.Connection) -> None:
-            for (text,) in con.execute(
-                "SELECT payload FROM entries WHERE payload LIKE '%__object__%'"
-            ):
-                keep_refs.extend(refs_in_text(text))
-
-        self._read(collect)
         file_report = self.files.purge(
             max_age_days=max_age_days,
             max_size_mb=max_size_mb,
             now=now,
             tmp_age_s=tmp_age_s,
-            keep_object_refs=keep_refs,
         )
         return PurgeReport(
             removed,
@@ -637,8 +600,6 @@ class SQLiteCacheTier:
             entry_bytes=entry_bytes,
             journals_swept=file_report.journals_swept,
             journal_bytes=file_report.journal_bytes,
-            objects_swept=file_report.objects_swept,
-            object_bytes=file_report.object_bytes,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -165,3 +166,77 @@ def test_install_and_ensure_recorder_lifecycle(tmp_path):
         assert ensure_recorder(None) is NULL_RECORDER
     finally:
         reset_recorder()
+
+
+def test_recorder_remembers_its_creating_pid(tmp_path):
+    assert TelemetryRecorder(tmp_path, source="me").pid == os.getpid()
+
+
+def test_ensure_recorder_replaces_a_recorder_from_another_process(tmp_path):
+    try:
+        inherited = install_recorder(
+            tmp_path, role="parent", source="parent", torn_write_rate=0.25
+        )
+        inherited.counter("parent.only")
+        inherited.event("before-fork")
+        parent_text = inherited.path.read_text()
+        inherited.pid = -1  # as a forked child sees its parent's recorder
+        fresh = ensure_recorder(None, role="pool-worker")
+        assert fresh is not inherited and get_recorder() is fresh
+        assert fresh.role == "pool-worker"
+        assert fresh.directory == inherited.directory
+        assert fresh.source != inherited.source
+        assert fresh.torn_write_rate == inherited.torn_write_rate
+        # The parent's handle is dropped, not closed: closing it would
+        # append the parent's counters snapshot from the child.
+        assert inherited._handle is not None
+        assert inherited.path.read_text() == parent_text
+        # Later calls in the same process keep the replacement.
+        assert ensure_recorder(tmp_path, role="pool-worker") is fresh
+    finally:
+        inherited.pid = os.getpid()
+        inherited.close()
+        reset_recorder()
+
+
+def test_ensure_recorder_keeps_a_custom_sink_without_a_pid(tmp_path):
+    class Sink:
+        enabled = True
+
+        def close(self):
+            pass
+
+    sink = Sink()
+    try:
+        obs.set_recorder(sink)
+        assert ensure_recorder(tmp_path, role="pool-worker") is sink
+    finally:
+        reset_recorder()
+
+
+def test_forked_child_records_under_its_own_source(tmp_path):
+    import multiprocessing
+
+    def child():
+        ensure_recorder(None, role="queue-worker").event("in-child")
+        reset_recorder()
+
+    try:
+        parent = install_recorder(tmp_path, role="parent", source="parent")
+        parent.event("in-parent")
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=30)
+        assert process.exitcode == 0
+    finally:
+        reset_recorder()
+    by_name = {
+        record["name"]: record
+        for record in iter_events(tmp_path)
+        if record["type"] == "event"
+    }
+    assert by_name["in-parent"]["role"] == "parent"
+    assert by_name["in-child"]["role"] == "queue-worker"
+    assert by_name["in-child"]["source"] != "parent"
+    assert by_name["in-child"]["pid"] == process.pid
+    assert len(event_files(tmp_path)) == 2

@@ -106,3 +106,80 @@ def test_metrics_table_on_empty_directory(tmp_path):
     assert summary["n_records"] == 0
     lines = render_metrics_table(summary)
     assert lines  # renders a header, never crashes
+
+
+def test_pool_workers_record_as_themselves(tmp_path):
+    """Forked pool workers get their own source and role, not the parent's."""
+    from repro.runners import (
+        CampaignSpec,
+        clear_run_caches,
+        execution,
+        run_campaign,
+    )
+    from repro.runners.backends import _build_leases
+
+    spec = CampaignSpec.build(
+        kind="percolation",
+        axes={"reliability": (0.8, 0.85, 0.9, 0.95)},
+        fixed={"grid_side": 8, "runs": 4, "process": "bond"},
+        seed_params=("grid_side", "reliability"),
+        n_seeds=2,
+    )
+    clear_run_caches()
+    obs.reset_recorder()
+    obs.install_recorder(tmp_path, role="parent")
+    try:
+        with execution(
+            backend="pool", jobs=2, use_cache=False,
+            telemetry_dir=str(tmp_path),
+        ):
+            run_campaign(spec)
+    finally:
+        obs.reset_recorder()
+        clear_run_caches()
+    summary = aggregate_metrics(tmp_path)
+    workers = summary["workers"]
+    assert summary["n_sources"] >= 2
+    assert any(worker["role"] == "pool-worker" for worker in workers.values())
+    assert all(worker["role"] != "parent" for worker in workers.values())
+    assert sum(worker["tasks"] for worker in workers.values()) == len(
+        _build_leases(spec.runs())
+    )
+
+
+def test_queue_workers_record_as_themselves(tmp_path):
+    """Sharded-queue workers likewise record under their own source."""
+    from repro.runners import (
+        CampaignSpec,
+        clear_run_caches,
+        execution,
+        run_campaign,
+    )
+    from repro.runners.backends import _build_leases
+
+    spec = CampaignSpec.build(
+        kind="percolation",
+        axes={"reliability": (0.8, 0.85, 0.9, 0.95)},
+        fixed={"grid_side": 8, "runs": 4, "process": "bond"},
+        seed_params=("grid_side", "reliability"),
+        n_seeds=2,
+    )
+    telemetry = tmp_path / "telemetry"
+    clear_run_caches()
+    obs.reset_recorder()
+    obs.install_recorder(telemetry, role="parent")
+    try:
+        with execution(
+            backend="sharded", jobs=2, use_cache=False,
+            queue_dir=str(tmp_path / "q"), telemetry_dir=str(telemetry),
+        ):
+            run_campaign(spec)
+    finally:
+        obs.reset_recorder()
+        clear_run_caches()
+    workers = aggregate_metrics(telemetry)["workers"]
+    assert workers
+    assert all(worker["role"] == "queue-worker" for worker in workers.values())
+    assert sum(worker["tasks"] for worker in workers.values()) == len(
+        _build_leases(spec.runs())
+    )

@@ -1,5 +1,6 @@
 """Age/size-based cache eviction (`cache purge --max-age-days/--max-size-mb`)."""
 
+import hashlib
 import json
 import os
 import time
@@ -463,3 +464,318 @@ class TestJournalLifecycle:
         assert code == 0
         out = capsys.readouterr().out
         assert "entries: 1 " in out and "ideal" in out
+
+
+#: The row shape the content-addressed object store of earlier versions
+#: wrote in place of an inline metrics payload.
+LEGACY_MARKER = {"__object__": "0123456789abcdef" * 4}
+
+#: Where an earlier version could leave a marker: a file-tier entry, a
+#: sqlite-tier row, a file entry the sqlite tier migrates into its
+#: database, a journal line replayed by ``--resume``, and a sharded-queue
+#: result row.
+LEGACY_SURFACES = ["file", "sqlite", "sqlite-mirror", "journal", "queue"]
+
+
+def legacy_spec():
+    from repro.runners import CampaignSpec
+
+    return CampaignSpec.build(
+        kind="percolation",
+        axes={"grid_side": (6, 8)},
+        fixed={"reliability": 0.9, "runs": 3, "process": "bond"},
+        seed_params=("grid_side", "reliability"),
+    )
+
+
+def plant_legacy_object(root, payload):
+    """Write ``payload`` where the old store kept it; returns its marker."""
+    text = json.dumps(payload, sort_keys=True)
+    ref = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path = root / "objects" / ref[:2] / f"{ref}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return dict.fromkeys(LEGACY_MARKER, ref)
+
+
+def float_bits(metrics):
+    """``metrics`` with every value as its exact hex form (keeps -0.0)."""
+    return {name: float(value).hex() for name, value in metrics.items()}
+
+
+def awkward_metrics():
+    """Past the old store's 2 KiB threshold, with floats JSON must keep."""
+    values = [0.1 + 0.2, 1e-300, -0.0, 5e-324, 1 / 3, 2.0 ** 60]
+    return {
+        f"metric_{index:03d}": values[index % len(values)] * (index + 1)
+        for index in range(200)
+    }
+
+
+@pytest.fixture
+def fresh_runner_state():
+    from repro.runners import clear_run_caches, context, faults
+
+    previous = context.get_execution()
+    clear_run_caches()
+    yield
+    clear_run_caches()
+    # An inline worker_loop installs the queue's published execution
+    # flags and marks this process as a pool worker; undo both so later
+    # tests' crash faults raise instead of os._exit-ing pytest.
+    context._config = previous
+    faults._in_pool_worker = False
+
+
+@pytest.mark.usefixtures("fresh_runner_state")
+class TestLegacyObjectMarkers:
+    """Marker payloads left by earlier versions recompute on first read."""
+
+    @staticmethod
+    def check_recompute(tmp_path, surface, with_object):
+        from repro.runners import (
+            ShardedBackend,
+            SQLiteCacheTier,
+            WorkQueue,
+            run_campaign,
+        )
+        from repro.runners.backends import _build_leases
+        from repro.runners.campaign import clear_memo
+        from repro.runners.journal import JOURNAL_VERSION, CampaignJournal
+
+        def store():
+            if surface.startswith("sqlite"):
+                return SQLiteCacheTier(tmp_path)
+            return ResultCache(tmp_path)
+
+        spec = legacy_spec()
+        victim = spec.runs()[0]
+        clear_memo()
+        clean = run_campaign(spec, use_cache=False)
+        clear_memo()
+        run_campaign(spec, cache=store())
+        inline = store().get(victim.key)["metrics"]
+
+        marker = LEGACY_MARKER
+        if with_object:
+            # The object the marker names is intact on disk, as the old
+            # store left it; readers still never consult ``objects/``.
+            root = tmp_path / "q" if surface == "queue" else tmp_path
+            held = [inline] if surface == "queue" else inline
+            marker = plant_legacy_object(root, held)
+        rerun = {}
+        if surface == "file":
+            path = ResultCache(tmp_path)._path(victim.key)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["metrics"] = marker
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        elif surface == "sqlite":
+            tier = SQLiteCacheTier(tmp_path)
+            con = tier._connect()
+            (text,) = con.execute(
+                "SELECT payload FROM entries WHERE key = ?", (victim.key,)
+            ).fetchone()
+            payload = dict(json.loads(text), metrics=marker)
+            con.execute(
+                "UPDATE entries SET payload = ? WHERE key = ?",
+                (json.dumps(payload), victim.key),
+            )
+            con.commit()
+            tier.close()
+        elif surface == "sqlite-mirror":
+            tier = SQLiteCacheTier(tmp_path)
+            con = tier._connect()
+            con.execute("DELETE FROM entries WHERE key = ?", (victim.key,))
+            con.commit()
+            tier.close()
+            path = ResultCache(tmp_path)._path(victim.key)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["metrics"] = marker
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            # The surface under test must be the only place the point
+            # is stored, so drop its (inline) cache entry.
+            ResultCache(tmp_path)._path(victim.key).unlink()
+            if surface == "journal":
+                journal = CampaignJournal.for_campaign(
+                    tmp_path, spec.content_hash()
+                )
+                journal.path.parent.mkdir(parents=True, exist_ok=True)
+                line = {
+                    "v": JOURNAL_VERSION, "event": "result",
+                    "key": victim.key, "kind": victim.kind,
+                    "seed": victim.seed, "metrics": marker,
+                }
+                journal.path.write_text(
+                    json.dumps(line) + "\n", encoding="utf-8"
+                )
+                assert journal.load().results == {victim.key: marker}
+                rerun["resume"] = True
+            else:
+                queue = WorkQueue(tmp_path / "q")
+                queue.enqueue(_build_leases([victim]))
+                con = queue._connect()
+                con.execute(
+                    "UPDATE tasks SET status = 'done' WHERE key = ?",
+                    (victim.key,),
+                )
+                con.execute(
+                    "INSERT INTO results(key, flats, worker, completed) "
+                    "VALUES (?, ?, 'legacy', 0)",
+                    (victim.key, json.dumps(marker)),
+                )
+                con.commit()
+                queue.close()
+                rerun["backend"] = ShardedBackend(1, queue_dir=tmp_path / "q")
+
+        clear_memo()
+        result = run_campaign(spec, cache=store(), **rerun)
+        assert result.computed == 1
+        points = list(spec.points())
+        assert [result.metrics(**point) for point in points] == [
+            clean.metrics(**point) for point in points
+        ]
+        assert store().get(victim.key)["metrics"] == inline
+        if surface == "queue":
+            assert WorkQueue(tmp_path / "q").attempts_for([victim.key]) == {
+                victim.key: 1
+            }
+        if with_object:
+            # Left for the user to delete by hand, never swept or read.
+            assert len(list(root.glob("objects/*/*.json"))) == 1
+
+    @pytest.mark.parametrize("surface", LEGACY_SURFACES)
+    def test_marker_payload_recomputes_and_rewrites_inline(
+        self, tmp_path, surface
+    ):
+        self.check_recompute(tmp_path, surface, with_object=False)
+
+    @pytest.mark.parametrize("surface", LEGACY_SURFACES)
+    def test_marker_recomputes_even_with_its_object_on_disk(
+        self, tmp_path, surface
+    ):
+        self.check_recompute(tmp_path, surface, with_object=True)
+
+    @pytest.mark.parametrize("tier", ["file", "sqlite"])
+    def test_stats_and_purge_leave_legacy_objects_alone(self, tmp_path, tier):
+        from repro.runners import SQLiteCacheTier
+
+        cache = SQLiteCacheTier(tmp_path) if tier == "sqlite" else (
+            ResultCache(tmp_path)
+        )
+        cache.put("ab" * 32, {"kind": "ideal", "metrics": {"x": 1.0}})
+        plant_legacy_object(tmp_path, {"x": 1.0})
+        stats = cache.stats()
+        assert stats.n_entries == 1 and stats.n_stale == 0
+        assert cache.purge() == 1
+        assert cache.get("ab" * 32) is None
+        assert len(list(tmp_path.glob("objects/*/*.json"))) == 1
+
+    def test_queue_compact_leaves_legacy_objects_alone(self, tmp_path):
+        from repro.runners import WorkQueue, worker_loop
+        from repro.runners.backends import _build_leases
+
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(_build_leases(legacy_spec().runs()))
+        assert worker_loop(tmp_path / "q", worker_id="inline") == 2
+        plant_legacy_object(tmp_path / "q", [{"x": 1.0}])
+        report = queue.compact()
+        assert report["tasks_dropped"] == 2
+        assert report["results_dropped"] == 2
+        assert len(list((tmp_path / "q").glob("objects/*/*.json"))) == 1
+
+    def test_queue_meta_keys_of_other_versions_are_ignored(self, tmp_path):
+        from repro.runners import FailurePolicy, WorkQueue, worker_loop
+        from repro.runners.backends import _build_leases
+
+        queue = WorkQueue(tmp_path / "q")
+        queue.configure(FailurePolicy(), lease_block=2)
+        con = queue._connect()
+        con.execute(
+            "INSERT INTO meta(name, value) VALUES ('retired_option', 'true')"
+        )
+        con.commit()
+        assert queue.read_config()["lease_block"] == 2
+        queue.enqueue(_build_leases(legacy_spec().runs()))
+        assert worker_loop(tmp_path / "q", worker_id="inline") == 2
+        assert queue.status_snapshot()["config"]["lease_block"] == 2
+
+
+@pytest.mark.usefixtures("fresh_runner_state")
+class TestInlinePayloads:
+    """Every surface stores a metrics payload inline and bit for bit."""
+
+    @pytest.mark.parametrize("surface", ["file", "sqlite", "journal", "queue"])
+    def test_payload_is_stored_inline_and_reads_back_exactly(
+        self, tmp_path, surface
+    ):
+        from repro.runners import SQLiteCacheTier, WorkQueue
+        from repro.runners.backends import _build_leases
+        from repro.runners.journal import CampaignJournal
+
+        metrics = awkward_metrics()
+        key = "ab" * 32
+        if surface == "file":
+            cache = ResultCache(tmp_path)
+            cache.put(key, {"kind": "k", "metrics": metrics})
+            raw = json.loads(cache._path(key).read_text(encoding="utf-8"))
+            stored = raw["metrics"]
+            read = cache.get(key)["metrics"]
+        elif surface == "sqlite":
+            tier = SQLiteCacheTier(tmp_path)
+            tier.put(key, {"kind": "k", "metrics": metrics})
+            (text,) = tier._connect().execute(
+                "SELECT payload FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+            stored = json.loads(text)["metrics"]
+            read = tier.get_many([key])[key]["metrics"]
+            tier.close()
+        elif surface == "journal":
+            journal = CampaignJournal.for_campaign(tmp_path, "deadbeef")
+            journal.append_result(key, "percolation", 7, metrics)
+            journal.close()
+            (line,) = journal.path.read_text(encoding="utf-8").splitlines()
+            stored = json.loads(line)["metrics"]
+            replay = CampaignJournal.for_campaign(tmp_path, "deadbeef").load()
+            read = replay.results[key]
+        else:
+            queue = WorkQueue(tmp_path / "q")
+            queue.enqueue(_build_leases(legacy_spec().runs()))
+            ((key, _task, _attempt),) = queue.claim_block(
+                "w1", lease_s=60.0, n=1, now=100.0
+            )
+            queue.complete_many([(key, [metrics])], "w1", now=101.0)
+            (text,) = queue._connect().execute(
+                "SELECT flats FROM results WHERE key = ?", (key,)
+            ).fetchone()
+            (stored,) = json.loads(text)
+            ((_rowid, _key, (read,)),) = queue.fetch_results()
+            queue.close()
+        assert float_bits(stored) == float_bits(metrics)
+        assert float_bits(read) == float_bits(metrics)
+        assert not any(tmp_path.rglob("objects"))
+
+    def test_sharded_workers_write_inline_result_rows(self, tmp_path):
+        from repro.runners import WorkQueue, execution, run_campaign
+        from repro.runners.campaign import clear_memo
+
+        spec = legacy_spec()
+        clear_memo()
+        reference = run_campaign(spec, use_cache=False)
+        clear_memo()
+        with execution(
+            backend="sharded", jobs=2, queue_dir=str(tmp_path / "q")
+        ):
+            result = run_campaign(spec, use_cache=False)
+        clear_memo()
+        points = list(spec.points())
+        assert [result.metrics(**point) for point in points] == [
+            reference.metrics(**point) for point in points
+        ]
+        rows = WorkQueue(tmp_path / "q").fetch_results()
+        assert len(rows) == len(spec.runs())
+        assert all(
+            type(flats) is list and all(type(flat) is dict for flat in flats)
+            for _rowid, _key, flats in rows
+        )
+        assert not any(tmp_path.rglob("objects"))
