@@ -1,30 +1,27 @@
-"""Campaign-fabric throughput: execution backends and cache tiers.
+"""Campaign-fabric throughput: execution backends, telemetry, queue.
 
 Two jobs share this module:
 
 * pytest smokes — drive a small campaign through every backend (serial,
-  process-pool, sharded work queue) and both cache tiers, asserting the
-  fabric's core invariant: identical metrics whichever path computed or
-  served them.  CI runs these with the other benchmark suites.
+  process-pool, sharded work queue), asserting the fabric's core
+  invariant: identical metrics whichever backend computed them.  CI
+  runs these with the other benchmark suites.
 
 * ``python benchmarks/bench_campaign_throughput.py`` — measure (1)
-  warm-read throughput of the batched SQLite tier against the per-file
-  JSON layer on a campaign-scale key set, (2) end-to-end campaign
-  points/sec on each backend, (3) cold-vs-warm campaign wall time on
-  each cache tier, and (4) the telemetry fabric's overhead — campaign
-  points/sec with recording disabled (the no-op recorder) vs enabled,
-  plus the disabled span's per-call cost in nanoseconds — writing the
-  report to ``BENCH_campaign.json`` at the repo root.  The committed
-  copy pins the ≥5x warm-read speedup this repo claims for
-  ``--cache-tier sqlite`` and the disabled-telemetry cost (a few
-  hundred ns per no-op span);
-  regenerate it on quiet hardware after touching the cache or
-  telemetry layers.
+  end-to-end campaign points/sec on each backend, (2) the telemetry
+  fabric's overhead — campaign points/sec with recording disabled (the
+  no-op recorder) vs enabled, plus the disabled span's per-call cost in
+  nanoseconds — and (3) pure queue overhead per point at several
+  lease-block sizes, writing the report to ``BENCH_campaign.json`` at
+  the repo root.  The committed copy pins the disabled-telemetry cost
+  (a few hundred ns per no-op span) and the block-leasing overhead cut;
+  regenerate it on quiet hardware after touching the telemetry or
+  queue layers.
 
 Timing methodology matches the kernel baseline: contenders are
 interleaved rep by rep, gc is disabled inside timed regions, and the
-headline is min-of-reps.  Every timed read is also verified (same keys,
-same payloads), so a timing run doubles as a parity check.
+headline is min-of-reps.  Every timed rep is also verified (same
+metrics, same payloads), so a timing run doubles as a parity check.
 """
 
 import argparse
@@ -44,8 +41,6 @@ except ImportError:  # pragma: no cover - direct invocation from a checkout
 
 from repro.runners import (
     CampaignSpec,
-    ResultCache,
-    SQLiteCacheTier,
     WorkQueue,
     clear_run_caches,
     execution,
@@ -85,23 +80,8 @@ def synthetic_leases(n_leases: int) -> list:
     ]
 
 
-def synthetic_entries(n_keys: int) -> dict:
-    """Campaign-shaped payloads keyed like real run hashes."""
-    return {
-        f"{index:08x}" + "ab" * 28: {
-            "kind": "percolation",
-            "metrics": {
-                "critical_fraction": 0.5 + (index % 97) / 1000.0,
-                "ci95": 0.01,
-                "n_runs": 12,
-            },
-        }
-        for index in range(n_keys)
-    }
-
-
 # --------------------------------------------------------------------------
-# pytest smokes (parity through every backend and tier)
+# pytest smokes (parity through every backend)
 # --------------------------------------------------------------------------
 
 
@@ -121,20 +101,6 @@ def test_every_backend_is_bit_identical():
         with execution(backend=backend, jobs=2, use_cache=False):
             fingerprints.append(_campaign_fingerprint(run_campaign(spec)))
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-    clear_run_caches()
-
-
-def test_both_tiers_serve_identical_warm_results(tmp_path):
-    spec = bench_spec(n_points=2, n_seeds=2)
-    fingerprints = []
-    for tier in ("file", "sqlite"):
-        root = tmp_path / tier
-        for _repeat in range(2):  # cold, then warm from disk
-            clear_run_caches()
-            with execution(cache_tier=tier):
-                result = run_campaign(spec, cache=str(root))
-        fingerprints.append(_campaign_fingerprint(result))
-    assert fingerprints[0] == fingerprints[1]
     clear_run_caches()
 
 
@@ -166,72 +132,9 @@ def test_block_drill_respects_round_trip_bound(tmp_path):
         assert row["write_txns"] <= math.ceil(len(leases) / block) + 1
 
 
-def test_warm_read_parity_on_synthetic_keys(tmp_path):
-    entries = synthetic_entries(256)
-    SQLiteCacheTier(tmp_path).put_many(entries)
-    keys = list(entries)
-    from_files = ResultCache(tmp_path).get_many(keys)
-    from_sqlite = SQLiteCacheTier(tmp_path).get_many(keys)
-    assert set(from_files) == set(from_sqlite) == set(keys)
-    assert all(
-        from_files[key]["metrics"] == from_sqlite[key]["metrics"]
-        for key in keys
-    )
-
-
 # --------------------------------------------------------------------------
 # The measurement harness (the __main__ entry point)
 # --------------------------------------------------------------------------
-
-
-def measure_warm_reads(n_keys: int, reps: int) -> dict:
-    """Interleaved A/B: per-file JSON reads vs batched SQLite reads.
-
-    The key set is written once through the SQLite tier with
-    write-through on, so both layers hold the exact same entries; each
-    rep reads *every* key through each layer and verifies the payloads
-    match before its timing counts.
-    """
-    root = Path(tempfile.mkdtemp(prefix="bench-campaign-"))
-    try:
-        entries = synthetic_entries(n_keys)
-        SQLiteCacheTier(root).put_many(entries)
-        keys = list(entries)
-        file_s, sqlite_s = [], []
-        for _ in range(reps):
-            files = ResultCache(root)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            from_files = files.get_many(keys)
-            file_s.append(time.perf_counter() - start)
-            gc.enable()
-
-            tier = SQLiteCacheTier(root)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            from_sqlite = tier.get_many(keys)
-            sqlite_s.append(time.perf_counter() - start)
-            gc.enable()
-
-            assert set(from_files) == set(from_sqlite) == set(keys)
-            assert all(
-                from_files[key]["metrics"] == from_sqlite[key]["metrics"]
-                for key in keys
-            )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "n_keys": n_keys,
-        "file_seconds": min(file_s),
-        "sqlite_seconds": min(sqlite_s),
-        "speedup": round(min(file_s) / min(sqlite_s), 2),
-        "file_keys_per_second": round(n_keys / min(file_s)),
-        "sqlite_keys_per_second": round(n_keys / min(sqlite_s)),
-        "file_seconds_reps": [round(t, 4) for t in file_s],
-        "sqlite_seconds_reps": [round(t, 4) for t in sqlite_s],
-    }
 
 
 def measure_backends(spec: CampaignSpec, jobs: int, reps: int) -> list:
@@ -259,40 +162,6 @@ def measure_backends(spec: CampaignSpec, jobs: int, reps: int) -> list:
         }
         for backend, times in timings.items()
     ]
-
-
-def measure_tiers(spec: CampaignSpec) -> list:
-    """Cold (compute + write) vs warm (pure scan) campaign per tier."""
-    n_runs = len(spec.runs())
-    rows = []
-    for tier in ("file", "sqlite"):
-        root = Path(tempfile.mkdtemp(prefix=f"bench-tier-{tier}-"))
-        try:
-            with execution(cache_tier=tier):
-                clear_run_caches()
-                gc.collect()
-                start = time.perf_counter()
-                run_campaign(spec, cache=str(root))
-                cold = time.perf_counter() - start
-                clear_run_caches()  # warm run must hit the disk, not the memo
-                gc.collect()
-                start = time.perf_counter()
-                result = run_campaign(spec, cache=str(root))
-                warm = time.perf_counter() - start
-            assert not result.failures
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        rows.append(
-            {
-                "tier": tier,
-                "n_runs": n_runs,
-                "cold_seconds": round(cold, 4),
-                "warm_seconds": round(warm, 4),
-                "warm_points_per_second": round(n_runs / warm, 1),
-            }
-        )
-    clear_run_caches()
-    return rows
 
 
 def measure_telemetry(
@@ -454,7 +323,7 @@ def measure_queue_overhead(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure campaign backends and cache-tier throughput"
+        description="Measure campaign backend, telemetry and queue throughput"
     )
     parser.add_argument(
         "--reps", type=int, default=5, help="interleaved A/B repetitions"
@@ -465,7 +334,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shrunk key set and campaign for CI",
+        help="shrunk campaign and drill for CI",
     )
     parser.add_argument(
         "--out",
@@ -475,25 +344,21 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only",
-        choices=("all", "warm", "backends", "tiers", "telemetry", "queue"),
+        choices=("all", "backends", "telemetry", "queue"),
         default="all",
         help="run a single section (the CI queue-scale job runs "
              "`--only queue`); the report contains just that section",
     )
     args = parser.parse_args(argv)
 
-    n_keys = 1000 if args.quick else 5000
     n_leases = 2000 if args.quick else 20000
     spec = bench_spec(n_points=4 if args.quick else 8, n_seeds=3)
 
     report = {
         "benchmark": "campaign-fabric-throughput",
         "description": (
-            "Warm-read throughput of the batched SQLite cache tier vs "
-            "per-file JSON reads on a campaign-scale key set; campaign "
-            "points/sec on the serial, process-pool and sharded-queue "
-            "backends; cold-vs-warm campaign wall time per cache tier; "
-            "campaign throughput with telemetry recording disabled vs "
+            "Campaign points/sec on the serial, process-pool and "
+            "sharded-queue backends; campaign throughput with telemetry recording disabled vs "
             "enabled (plus the disabled span's per-call cost); pure "
             "queue overhead per point at lease-block sizes 1/16/64. "
             "Payload parity verified inside every timed rep."
@@ -505,17 +370,6 @@ def main(argv=None) -> int:
         "command": "python benchmarks/bench_campaign_throughput.py",
         "quick": args.quick,
     }
-
-    if args.only in ("all", "warm"):
-        print(f"measuring warm reads over {n_keys} keys ...", flush=True)
-        warm = measure_warm_reads(n_keys, args.reps)
-        print(
-            f"  file {warm['file_seconds']:.3f}s"
-            f"  sqlite {warm['sqlite_seconds']:.3f}s"
-            f"  speedup {warm['speedup']:.2f}x",
-            flush=True,
-        )
-        report["warm_read"] = warm
 
     if args.only in ("all", "backends"):
         print(
@@ -529,17 +383,6 @@ def main(argv=None) -> int:
                 flush=True,
             )
         report["backends"] = backends
-
-    if args.only in ("all", "tiers"):
-        print("measuring cache tiers cold/warm ...", flush=True)
-        tiers = measure_tiers(spec)
-        for row in tiers:
-            print(
-                f"  {row['tier']:8s} cold {row['cold_seconds']:.3f}s"
-                f"  warm {row['warm_seconds']:.3f}s",
-                flush=True,
-            )
-        report["tiers"] = tiers
 
     if args.only in ("all", "telemetry"):
         print("measuring telemetry overhead ...", flush=True)

@@ -7,7 +7,7 @@ Usage::
     pbbf-experiments run fig08 [--scale fast|full] [--jobs N] [--progress]
     pbbf-experiments run-all [--scale fast|full] [--out results.txt]
                              [--jobs N] [--cache-dir DIR] [--no-cache]
-    pbbf-experiments cache stats [--cache-dir DIR] [--cache-tier sqlite]
+    pbbf-experiments cache stats [--cache-dir DIR]
     pbbf-experiments cache purge [--cache-dir DIR]
                                  [--max-age-days N] [--max-size-mb M]
     pbbf-experiments worker --queue DIR [--linger-s S] [--block N]
@@ -30,11 +30,10 @@ parameters changed.  ``--no-cache`` forces fresh simulation;
 ``$REPRO_CACHE_MAX_MB``) arms the evict-on-insert size budget.
 ``--backend sharded [--queue DIR]`` fans the campaign out through an
 on-disk work queue that ``pbbf-experiments worker --queue DIR``
-processes on other machines can join, and ``--cache-tier sqlite``
-serves warm campaigns from batched SQLite reads — results are
-bit-identical on every backend and tier.  ``--telemetry [DIR]`` (or
-``$REPRO_TELEMETRY``) records structured spans/counters/events as JSONL
-under DIR and prints a metrics summary at exit; ``trace export`` turns
+processes on other machines can join — results are bit-identical on
+every backend.  ``--telemetry [DIR]`` (or ``$REPRO_TELEMETRY``)
+records structured spans/counters/events as JSONL under DIR and
+prints a metrics summary at exit; ``trace export`` turns
 the logs into a Perfetto-loadable Chrome trace, and ``queue status``
 shows a live sharded-queue snapshot.  Telemetry never perturbs results:
 campaign outputs are bit-identical with it on, off, or crashing
@@ -151,13 +150,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
-    parser.add_argument("--cache-tier", choices=("file", "sqlite"),
-                        default="file",
-                        help="result-cache tier: file (one JSON entry per "
-                             "point; default) or sqlite (batched reads and "
-                             "concurrent-writer-safe writes through one "
-                             "WAL database, write-through to the file "
-                             "layer)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache entirely")
     parser.add_argument("--cache-max-size-mb", type=_nonnegative_mb, default=None,
@@ -243,11 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--max-size-mb", type=float, default=None,
                        help="purge only: evict oldest entries until the "
                             "cache fits this many megabytes")
-    cache.add_argument("--cache-tier", choices=("file", "sqlite"),
-                       default="file",
-                       help="operate on the file layer (default) or the "
-                            "SQLite tier (which cascades to the file "
-                            "layer)")
 
     worker = sub.add_parser(
         "worker",
@@ -399,7 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             queue_dir=args.queue,
             cache_dir=args.cache_dir,
-            cache_tier=args.cache_tier,
             use_cache=not args.no_cache,
             cache_max_size_mb=args.cache_max_size_mb,
             fast_path=not args.no_fast_path,
@@ -539,12 +525,9 @@ def _format_bytes(n: int) -> str:
 
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``cache stats`` / ``cache purge`` subcommand."""
-    from repro.runners import ResultCache, SQLiteCacheTier
+    from repro.runners import ResultCache
 
-    if args.cache_tier == "sqlite":
-        store = SQLiteCacheTier(args.cache_dir)
-    else:
-        store = ResultCache(args.cache_dir)
+    store = ResultCache(args.cache_dir)
     if args.action == "stats":
         stats = store.stats()
         print(f"cache directory: {stats.root}")

@@ -1,6 +1,6 @@
 """Structured telemetry: spans, counters and gauges for the campaign fabric.
 
-The execution stack (evaluators, backends, queue, cache tiers) calls
+The execution stack (evaluators, backends, queue, result cache) calls
 :func:`get_recorder` and records what it is doing — phase spans around
 realize/simulate/analyze/cache work, lease lifecycle events, hit/miss
 counters.  By default the recorder is the :data:`NULL_RECORDER`: every

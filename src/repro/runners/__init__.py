@@ -100,7 +100,6 @@ from repro.runners.spec import (
     CampaignSpec,
     run_key,
 )
-from repro.runners.sqlite_tier import SQLiteCacheTier
 
 
 def clear_run_caches() -> None:
@@ -130,7 +129,6 @@ __all__ = [
     "PurgeReport",
     "ResultCache",
     "RunFailure",
-    "SQLiteCacheTier",
     "SerialBackend",
     "ShardedBackend",
     "TaskTimeoutError",

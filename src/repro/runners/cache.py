@@ -36,7 +36,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -220,12 +219,8 @@ class ResultCache:
     def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Payloads for every hit among ``keys`` (misses simply absent).
 
-        On the file layer this is a convenience loop — one ``open`` per
-        key — kept signature-compatible with
-        :meth:`repro.runners.sqlite_tier.SQLiteCacheTier.get_many`, where
-        the same call is a handful of batched ``SELECT``s.  The campaign
-        scan always goes through this entry point, so swapping tiers
-        swaps the read path wholesale.
+        One ``get`` per key.  The campaign scan reads the disk through
+        this single call, so its cost shows up in one place.
         """
         found: Dict[str, Dict[str, Any]] = {}
         for key in keys:
@@ -233,11 +228,6 @@ class ResultCache:
             if payload is not None:
                 found[key] = payload
         return found
-
-    def put_many(self, items: Mapping[str, Dict[str, Any]]) -> None:
-        """Store every ``key -> payload``; one atomic write per entry."""
-        for key, payload in items.items():
-            self.put(key, payload)
 
     def _quarantine(self, path: Path) -> None:
         """Move one corrupt entry aside (best-effort, crash-race safe)."""
@@ -255,7 +245,11 @@ class ResultCache:
 
         Best-effort: the cache is strictly a performance layer, so an
         unwritable directory degrades to cache-off (with one warning)
-        rather than failing the campaign that computed the result.
+        rather than failing the campaign that computed the result.  A
+        concurrent ``purge`` may remove the freshly made, still empty
+        shard directory before the temp file opens; that race is not a
+        broken directory, so the write re-creates the shard and retries
+        once, and a second loss only drops this one entry.
         """
         if self._write_failed:
             return
@@ -268,11 +262,18 @@ class ResultCache:
             # kill between write and rename would leave if writes were
             # not atomic — exercised so quarantine-on-read stays proven.
             text = text[: max(1, len(text) // 2)]
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            for retry in (False, True):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                try:
+                    with open(tmp, "w", encoding="utf-8") as handle:
+                        handle.write(text)
+                    break
+                except FileNotFoundError:
+                    # A purge swept the empty shard between mkdir and open.
+                    if retry:
+                        return  # lost twice: drop only this entry
             try:
                 replaced_size = path.stat().st_size
             except OSError:

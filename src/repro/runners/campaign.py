@@ -240,7 +240,7 @@ class CampaignResult:
 def run_campaign(
     spec: CampaignSpec,
     jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path, Any]] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     use_cache: Optional[bool] = None,
     backend: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
@@ -254,11 +254,9 @@ def run_campaign(
 
     Parameters left ``None`` fall back to the ambient
     :class:`~repro.runners.context.ExecutionConfig` (which the CLI sets
-    from its flags).  ``cache`` accepts a ready :class:`ResultCache` (or
-    any object with its ``get``/``put`` protocol, e.g. a
-    :class:`~repro.runners.sqlite_tier.SQLiteCacheTier`) or a directory
-    path; ``backend`` overrides the config-based choice entirely (any
-    object with ``execute(runs) -> list[dict]``; the ambient
+    from its flags).  ``cache`` accepts a ready :class:`ResultCache` or
+    a directory path; ``backend`` overrides the config-based choice
+    entirely (any object with ``execute(runs) -> list[dict]``; the ambient
     ``config.backend`` otherwise picks serial, pool or sharded).
     ``progress`` is called as ``progress(completed, total, cached,
     computed)`` once after the cache scan and then after every computed
@@ -316,24 +314,15 @@ def run_campaign(
         policy = config.failure_policy
     if policy is None:
         policy = FailurePolicy()
-    store: Optional[Any] = None
+    store: Optional[ResultCache] = None
     if use_cache:
-        if cache is not None and not isinstance(cache, (str, Path)):
-            # A ready store: ResultCache, SQLiteCacheTier, or anything
-            # speaking the get/put protocol.
+        if isinstance(cache, ResultCache):
             store = cache
         else:
-            cache_dir = cache if cache is not None else config.cache_dir
-            if config.cache_tier == "sqlite":
-                from repro.runners.sqlite_tier import SQLiteCacheTier
-
-                store = SQLiteCacheTier(
-                    cache_dir, max_size_mb=config.cache_max_size_mb
-                )
-            else:
-                store = ResultCache(
-                    cache_dir, max_size_mb=config.cache_max_size_mb
-                )
+            store = ResultCache(
+                cache if cache is not None else config.cache_dir,
+                max_size_mb=config.cache_max_size_mb,
+            )
 
     journal_store: Optional[CampaignJournal] = None
     if isinstance(journal, CampaignJournal):
@@ -400,21 +389,11 @@ def run_campaign(
         probe.append(run)
         probe_keys.add(run.key)
 
-    # Disk probes batch: the SQLite tier answers a warm million-point
-    # campaign in a handful of queries (the file layer's get_many is the
-    # same per-key loop it always ran).
     payloads: Dict[str, Dict[str, Any]] = {}
     if store is not None and probe:
         keys = [run.key for run in probe]
         with recorder.span("phase.cache-get", keys=len(keys)):
-            if hasattr(store, "get_many"):
-                payloads = store.get_many(keys)
-            else:  # a minimal third-party store
-                payloads = {
-                    key: payload
-                    for key in keys
-                    if (payload := store.get(key)) is not None
-                }
+            payloads = store.get_many(keys)
     for run in probe:
         payload = payloads.get(run.key)
         if payload is not None:

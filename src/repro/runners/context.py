@@ -44,10 +44,6 @@ class ExecutionConfig:
     #: the cache) so ``pbbf-experiments worker`` processes on other
     #: machines can join the campaign.
     queue_dir: Optional[str] = None
-    #: Result-cache tier: ``file`` (per-key JSON entries) or ``sqlite``
-    #: (batched reads/writes through one WAL database, write-through to
-    #: the file layer — see :mod:`repro.runners.sqlite_tier`).
-    cache_tier: str = "file"
     #: Cache root; ``None`` selects the default (env var or ~/.cache/repro).
     cache_dir: Optional[str] = None
     #: Master switch for the on-disk cache.

@@ -173,8 +173,8 @@ class WorkQueue:
     Every method is one transaction (``BEGIN IMMEDIATE`` for writes, with
     SQLite's busy-timeout arbitrating concurrent claimers), so the queue
     is safe for any number of worker processes on any number of machines
-    that share the directory.  Unlike the cache tier, a broken queue
-    *raises* — there is no file layer to degrade to.
+    that share the directory.  Unlike the result cache, a broken queue
+    *raises* — there is nothing to degrade to.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sqlite3
 import time
 
 import pytest
@@ -450,31 +451,16 @@ class TestJournalLifecycle:
         assert "swept 1 orphaned campaign journals" in capsys.readouterr().out
         assert not paths[0].exists()
 
-    def test_cli_stats_reach_the_sqlite_tier(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.runners import SQLiteCacheTier
-
-        SQLiteCacheTier(tmp_path).put(
-            "ab" * 32, {"kind": "ideal", "metrics": {}}
-        )
-        code = main([
-            "cache", "stats", "--cache-dir", str(tmp_path),
-            "--cache-tier", "sqlite",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "entries: 1 " in out and "ideal" in out
-
 
 #: The row shape the content-addressed object store of earlier versions
 #: wrote in place of an inline metrics payload.
 LEGACY_MARKER = {"__object__": "0123456789abcdef" * 4}
 
-#: Where an earlier version could leave a marker: a file-tier entry, a
-#: sqlite-tier row, a file entry the sqlite tier migrates into its
-#: database, a journal line replayed by ``--resume``, and a sharded-queue
-#: result row.
-LEGACY_SURFACES = ["file", "sqlite", "sqlite-mirror", "journal", "queue"]
+#: Where an earlier version could leave a marker: a cache entry file, a
+#: journal line replayed by ``--resume``, and a sharded-queue result row.
+#: (The SQLite cache tier of earlier versions wrote every row through to
+#: an entry file, so its markers are covered by the ``file`` surface.)
+LEGACY_SURFACES = ["file", "journal", "queue"]
 
 
 def legacy_spec():
@@ -533,19 +519,12 @@ class TestLegacyObjectMarkers:
 
     @staticmethod
     def check_recompute(tmp_path, surface, with_object):
-        from repro.runners import (
-            ShardedBackend,
-            SQLiteCacheTier,
-            WorkQueue,
-            run_campaign,
-        )
+        from repro.runners import ShardedBackend, WorkQueue, run_campaign
         from repro.runners.backends import _build_leases
         from repro.runners.campaign import clear_memo
         from repro.runners.journal import JOURNAL_VERSION, CampaignJournal
 
         def store():
-            if surface.startswith("sqlite"):
-                return SQLiteCacheTier(tmp_path)
             return ResultCache(tmp_path)
 
         spec = legacy_spec()
@@ -565,29 +544,6 @@ class TestLegacyObjectMarkers:
             marker = plant_legacy_object(root, held)
         rerun = {}
         if surface == "file":
-            path = ResultCache(tmp_path)._path(victim.key)
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["metrics"] = marker
-            path.write_text(json.dumps(payload), encoding="utf-8")
-        elif surface == "sqlite":
-            tier = SQLiteCacheTier(tmp_path)
-            con = tier._connect()
-            (text,) = con.execute(
-                "SELECT payload FROM entries WHERE key = ?", (victim.key,)
-            ).fetchone()
-            payload = dict(json.loads(text), metrics=marker)
-            con.execute(
-                "UPDATE entries SET payload = ? WHERE key = ?",
-                (json.dumps(payload), victim.key),
-            )
-            con.commit()
-            tier.close()
-        elif surface == "sqlite-mirror":
-            tier = SQLiteCacheTier(tmp_path)
-            con = tier._connect()
-            con.execute("DELETE FROM entries WHERE key = ?", (victim.key,))
-            con.commit()
-            tier.close()
             path = ResultCache(tmp_path)._path(victim.key)
             payload = json.loads(path.read_text(encoding="utf-8"))
             payload["metrics"] = marker
@@ -656,13 +612,8 @@ class TestLegacyObjectMarkers:
     ):
         self.check_recompute(tmp_path, surface, with_object=True)
 
-    @pytest.mark.parametrize("tier", ["file", "sqlite"])
-    def test_stats_and_purge_leave_legacy_objects_alone(self, tmp_path, tier):
-        from repro.runners import SQLiteCacheTier
-
-        cache = SQLiteCacheTier(tmp_path) if tier == "sqlite" else (
-            ResultCache(tmp_path)
-        )
+    def test_stats_and_purge_leave_legacy_objects_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"kind": "ideal", "metrics": {"x": 1.0}})
         plant_legacy_object(tmp_path, {"x": 1.0})
         stats = cache.stats()
@@ -705,11 +656,11 @@ class TestLegacyObjectMarkers:
 class TestInlinePayloads:
     """Every surface stores a metrics payload inline and bit for bit."""
 
-    @pytest.mark.parametrize("surface", ["file", "sqlite", "journal", "queue"])
+    @pytest.mark.parametrize("surface", ["file", "journal", "queue"])
     def test_payload_is_stored_inline_and_reads_back_exactly(
         self, tmp_path, surface
     ):
-        from repro.runners import SQLiteCacheTier, WorkQueue
+        from repro.runners import WorkQueue
         from repro.runners.backends import _build_leases
         from repro.runners.journal import CampaignJournal
 
@@ -721,15 +672,6 @@ class TestInlinePayloads:
             raw = json.loads(cache._path(key).read_text(encoding="utf-8"))
             stored = raw["metrics"]
             read = cache.get(key)["metrics"]
-        elif surface == "sqlite":
-            tier = SQLiteCacheTier(tmp_path)
-            tier.put(key, {"kind": "k", "metrics": metrics})
-            (text,) = tier._connect().execute(
-                "SELECT payload FROM entries WHERE key = ?", (key,)
-            ).fetchone()
-            stored = json.loads(text)["metrics"]
-            read = tier.get_many([key])[key]["metrics"]
-            tier.close()
         elif surface == "journal":
             journal = CampaignJournal.for_campaign(tmp_path, "deadbeef")
             journal.append_result(key, "percolation", 7, metrics)
@@ -779,3 +721,141 @@ class TestInlinePayloads:
             for _rowid, _key, flats in rows
         )
         assert not any(tmp_path.rglob("objects"))
+
+
+#: The tables the SQLite cache tier of earlier versions kept in
+#: ``<cache>/cache.sqlite``, beside the entry files it wrote through to.
+OLD_TIER_SCHEMA = """
+CREATE TABLE entries(
+    key      TEXT PRIMARY KEY,
+    kind     TEXT,
+    version  INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    nbytes   INTEGER NOT NULL,
+    created  REAL NOT NULL
+);
+CREATE TABLE quarantine(
+    key          TEXT PRIMARY KEY,
+    payload      TEXT,
+    quarantined  REAL NOT NULL
+);
+"""
+
+
+def plant_old_tier_database(root):
+    """Mirror every entry file into ``cache.sqlite`` as the old tier did.
+
+    Adds the WAL side files a killed tier process could leave, and
+    returns every ``cache.sqlite*`` file's bytes for later comparison.
+    """
+    rows = []
+    for path in ResultCache(root).entry_paths():
+        text = path.read_text(encoding="utf-8")
+        record = json.loads(text)
+        rows.append((
+            path.stem, record["kind"], record["version"], text,
+            len(text.encode("utf-8")), time.time(),
+        ))
+    con = sqlite3.connect(str(root / "cache.sqlite"))
+    con.executescript(OLD_TIER_SCHEMA)
+    con.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?)", rows)
+    con.commit()
+    con.close()
+    (root / "cache.sqlite-wal").write_bytes(b"left by a killed writer")
+    (root / "cache.sqlite-shm").write_bytes(b"\0" * 64)
+    return old_tier_files(root)
+
+
+def old_tier_files(root):
+    return {path.name: path.read_bytes() for path in root.glob("cache.sqlite*")}
+
+
+def entry_files(root):
+    return {
+        path.name: path.read_bytes() for path in ResultCache(root).entry_paths()
+    }
+
+
+@pytest.mark.usefixtures("fresh_runner_state")
+class TestOldSqliteTierDirectory:
+    """A cache directory the SQLite tier of earlier versions wrote to.
+
+    That tier wrote every row through to the entry files, so the file
+    cache serves the directory warm; its ``cache.sqlite*`` files are
+    inert leftovers that nothing reads, counts or deletes.
+    """
+
+    @staticmethod
+    def warm_directory(root):
+        from repro.runners import run_campaign
+        from repro.runners.campaign import clear_memo
+
+        spec = legacy_spec()
+        clear_memo()
+        cold = run_campaign(spec, cache=str(root))
+        database = plant_old_tier_database(root)
+        clear_memo()
+        return spec, cold, database
+
+    def test_warm_rerun_computes_nothing(self, tmp_path):
+        from repro.runners import run_campaign
+
+        spec, cold, database = self.warm_directory(tmp_path)
+        entries = entry_files(tmp_path)
+        warm = run_campaign(spec, cache=str(tmp_path))
+        assert warm.computed == 0 and warm.reused == len(spec.runs())
+        points = list(spec.points())
+        assert [warm.metrics(**point) for point in points] == [
+            cold.metrics(**point) for point in points
+        ]
+        assert entry_files(tmp_path) == entries
+        assert old_tier_files(tmp_path) == database
+
+    def test_rows_only_in_the_database_recompute(self, tmp_path):
+        # Entries the old tier wrote with write-through off exist only
+        # as database rows: they read as misses, recompute, and land as
+        # the same entry file bytes the file cache writes for them.
+        from repro.runners import run_campaign
+
+        spec, _cold, database = self.warm_directory(tmp_path)
+        victim = ResultCache(tmp_path)._path(spec.runs()[0].key)
+        original = victim.read_bytes()
+        victim.unlink()
+        rerun = run_campaign(spec, cache=str(tmp_path))
+        assert rerun.computed == 1
+        assert victim.read_bytes() == original
+        assert old_tier_files(tmp_path) == database
+
+    def test_cli_stats_count_only_the_entry_files(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec, _cold, database = self.warm_directory(tmp_path)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        n_runs = len(spec.runs())
+        assert f"entries: {n_runs} (" in out and ", 0 stale)" in out
+        assert f"percolation  {n_runs}" in out
+        assert old_tier_files(tmp_path) == database
+
+    @pytest.mark.parametrize("criteria", ["full", "age"])
+    def test_cli_purge_leaves_the_database_files_alone(
+        self, tmp_path, capsys, criteria
+    ):
+        from repro.cli import main
+
+        spec, _cold, database = self.warm_directory(tmp_path)
+        argv = ["cache", "purge", "--cache-dir", str(tmp_path)]
+        if criteria == "age":
+            # Everything is past the age gate, the database files too.
+            old = time.time() - 40 * 86_400.0
+            for path in [
+                *ResultCache(tmp_path).entry_paths(),
+                *tmp_path.glob("cache.sqlite*"),
+            ]:
+                os.utime(path, (old, old))
+            argv += ["--max-age-days", "30"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"purged {len(spec.runs())} cache entries" in out
+        assert ResultCache(tmp_path).stats().n_entries == 0
+        assert old_tier_files(tmp_path) == database

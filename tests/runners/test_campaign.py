@@ -266,6 +266,34 @@ class TestCacheObject:
         assert ("ab" * 32) in cache
         assert cache.get("cd" * 32) is None
 
+    def test_entry_file_bytes_are_pinned(self, tmp_path):
+        # Entries written by every earlier version read back unchanged
+        # only while this layout and serialization hold.
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, {"kind": "ideal", "metrics": {"x": 0.1 + 0.2, "n": 3}})
+        path = tmp_path / "points" / "ab" / f"{key}.json"
+        assert path.read_bytes() == (
+            b'{"kind": "ideal", "metrics": {"n": 3, "x": 0.30000000000000004}, '
+            b'"version": 1}'
+        )
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [path.name]
+
+    def test_a_ready_cache_serves_the_scan_in_one_get_many(self, tmp_path):
+        spec = tiny_percolation_spec()
+        run_campaign(spec, cache=str(tmp_path))
+        clear_run_caches()
+        calls = []
+
+        class CountingCache(ResultCache):
+            def get_many(self, keys):
+                calls.append(len(keys))
+                return super().get_many(keys)
+
+        result = run_campaign(spec, cache=CountingCache(tmp_path))
+        assert result.computed == 0 and result.reused == len(spec.runs())
+        assert calls == [len(spec.runs())]
+
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"kind": "ideal", "metrics": {}})

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -153,6 +155,26 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("run", ["--cache-dir", "--cache-max-size-mb"]),
+            ("run-all", ["--cache-dir", "--cache-max-size-mb"]),
+            ("pareto", ["--cache-dir", "--cache-max-size-mb"]),
+            ("cache", ["--cache-dir"]),
+        ],
+    )
+    def test_cache_options_are_directory_and_budget_only(
+        self, command, expected, capsys
+    ):
+        # One file-backed result cache serves every campaign: where it
+        # lives and how big it may grow are its only settings.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"--cache[a-z-]*", capsys.readouterr().out))
+        assert sorted(options) == expected
 
 
 class TestScenarios:
