@@ -62,9 +62,11 @@ def test_bond_sweep_throughput(benchmark):
 def test_ideal_broadcast_throughput(benchmark):
     """One broadcast on the paper's full 75x75 analysis grid.
 
-    Uses the default execution path (the vectorized frontier kernel);
-    compare against ``test_ideal_broadcast_scalar_reference`` for the
-    fast-path speedup the parity suite certifies as bit-identical.
+    Uses the default execution path: the vectorized lockstep kernel over a
+    single broadcast, its one-broadcast case (campaigns run all their
+    broadcasts through it together; ``bench_ideal_kernel.py`` times
+    those).  Compare against ``test_ideal_broadcast_scalar_reference`` for
+    the fast-path speedup the parity suite certifies as bit-identical.
     """
     grid = GridTopology(75)
     sim = IdealSimulator(
@@ -98,7 +100,7 @@ def test_random_topology_broadcast_throughput(benchmark):
     The grid benches exercise the fast path's best case (uniform degree
     4, dense padded rows); this tracks the irregular-degree regime the
     scenario layer's random/clustered families run in, where the padded
-    frontier matrix is ragged and the gather masks carry real weight.
+    neighbour matrix is ragged and the gather masks carry real weight.
     """
     topo = RandomTopology.connected(600, 10.0, 12.0, random.Random(42))
     sim = IdealSimulator(
@@ -113,7 +115,7 @@ def test_random_topology_broadcast_throughput(benchmark):
 
 
 def test_batched_coin_hash_throughput(benchmark):
-    """One whole-network batched coin draw (the fast path's unit of work)."""
+    """One whole-network batched coin draw through the general array hash."""
     nodes = np.arange(75 * 75)
 
     def run():

@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
+
 from repro.util.rng import fold_seed
 
 
@@ -37,14 +39,27 @@ def bootstrap_mean_samples(
     if n_resamples <= 0:
         raise ValueError(f"n_resamples must be > 0, got {n_resamples}")
     n = len(values)
+    # Exactly the indices ``rng.randrange(n)`` would return one at a time:
+    # ``randrange`` keeps the top ``n.bit_length()`` bits of each 32-bit
+    # Mersenne Twister word and rejects values >= n, and one
+    # ``getrandbits(32 * m)`` call yields the next m words, least
+    # significant first.
     rng = random.Random(fold_seed(base_seed, *labels))
-    means = []
-    for _ in range(n_resamples):
-        total = 0.0
-        for _ in range(n):
-            total += values[rng.randrange(n)]
-        means.append(total / n)
-    return means
+    needed = n_resamples * n
+    bits = n.bit_length()
+    picks = np.empty(0, dtype=np.uint32)
+    while picks.size < needed:
+        # Acceptance is above one half; ask for the expected count plus slack.
+        m = ((needed - picks.size) << bits) // n + 16
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = words >> (32 - bits)
+        picks = np.concatenate((picks, words[words < n]))
+    samples = np.asarray(values, dtype=np.float64)[picks[:needed].reshape(n_resamples, n)]
+    # cumsum adds left to right like the scalar loop (np.sum's pairwise
+    # order would change last bits); ``+ 0.0`` turns an all-negative-zero
+    # total into the loop's +0.0, whose running total starts there.
+    totals = np.cumsum(samples, axis=1)[:, -1] + 0.0
+    return (totals / n).tolist()
 
 
 def bootstrap_ci95(

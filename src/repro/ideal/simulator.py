@@ -47,7 +47,7 @@ import numpy as np
 from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
 from repro.net.topology import Topology, bucket_by_distance
-from repro.util.rng import hash_to_unit_interval, hash_to_unit_interval_array
+from repro.util.rng import NodeCoins, hash_to_unit_interval
 from repro.util.validation import check_non_negative_int, check_probability
 
 
@@ -251,9 +251,10 @@ class IdealSimulator:
         broadcast — a sticky awake decision that collapses the per-frame
         renewal process onto exact bond percolation).
     fast_path:
-        ``True`` forces the vectorized frontier-at-a-time kernel, ``False``
-        forces the scalar heap loop (the reference implementation), and
-        ``None`` (default) defers to the ambient execution config
+        ``True`` forces the vectorized lockstep kernel (a campaign's
+        broadcasts advance together), ``False`` forces the scalar heap
+        loop (the reference implementation), and ``None`` (default)
+        defers to the ambient execution config
         (:mod:`repro.runners.context`, the CLI's ``--no-fast-path``).
         Both paths produce bit-identical :class:`BroadcastOutcome`\\ s —
         the parity suite enforces it.
@@ -388,14 +389,15 @@ class IdealSimulator:
         the containing frame's ATIM window, where the paper's updates always
         arrive) and propagates until no transmission remains pending.
 
-        Dispatches to the vectorized frontier kernel unless the scalar
-        reference loop was requested (``fast_path=False`` or the ambient
-        execution config); the two are bit-identical.
+        Dispatches to the vectorized lockstep kernel (over this one
+        broadcast) unless the scalar reference loop was requested
+        (``fast_path=False`` or the ambient execution config); the two
+        are bit-identical.
         """
         check_non_negative_int("index", index)
         self._current_broadcast = index
         if self._use_fast_path():
-            return self._run_broadcast_fast(index)
+            return self._run_lockstep([index])[0]
         return self._run_broadcast_scalar(index)
 
     def _generation_times(self, index: int) -> Tuple[float, float]:
@@ -477,221 +479,223 @@ class IdealSimulator:
             parents=tuple(parents),
         )
 
-    def _run_broadcast_fast(self, index: int) -> BroadcastOutcome:
-        """Vectorized kernel: one array step per distinct send time.
+    def _run_lockstep(self, indices: Sequence[int]) -> List[BroadcastOutcome]:
+        """Vectorized kernel: all of ``indices`` advance together, one round at a time.
 
-        All transmissions sharing a send time resolve together — a masked
-        neighbour gather over the topology's CSR view, one batched q-coin
-        draw for the awake checks, first-arrival resolution via the first
-        occurrence in claim order, and one batched p-coin draw for the
-        winners.  Scalar-heap equivalence relies on three invariants:
+        Node state lives in flat ``(B * n)`` arrays indexed
+        ``slot * n + node``, and pending transmissions in flat arrays kept
+        in creation order.  Each round takes, for every broadcast, all
+        pending rows at that broadcast's earliest send time and resolves
+        them at once: one padded-CSR neighbour gather, one q-coin draw for
+        the immediate forwards, one first-claim scatter.  ``run_broadcast``
+        is this kernel over one index.  Scalar-heap equivalence relies on
+        three invariants:
 
-        * transmissions created later always carry later sequence numbers,
-          and batches are drained in (time, seq) order exactly as the heap
-          would pop them (same-time chunks spawned mid-batch form the next
-          batch at that time);
-        * within a batch the flat gather enumerates (sender, neighbour)
-          pairs in precisely the scalar visit order, so ``np.unique``'s
-          first-occurrence index reproduces the scalar's first-claim
-          tie-breaking;
-        * every timestamp is computed by the same scalar float expression
-          (``_defer_out_of_window``, ``_next_window_send_time``) on the
-          same inputs, so grouping by exact float equality matches heap
-          ordering.
+        * every coin is keyed by ``(node, broadcast index)`` or
+          ``(node, frame)``, never by processing order, so broadcasts
+          advancing side by side cannot disturb one another;
+        * a broadcast's rows stay in creation (seq) order, and a gather
+          enumerates (sender, neighbour) pairs row-major, so the first
+          claim of a node is the one the scalar heap would make;
+        * every send time comes from the same float expressions as
+          :meth:`_defer_out_of_window` and :meth:`_next_window_send_time`,
+          and elementwise ``floor``, ``*`` and ``+`` are IEEE-identical to
+          the scalar ones, so grouping by exact float equality matches the
+          heap's ordering.
         """
         cfg = self.config
         topo = self.topology
-        padded_nbrs, padded_valid = topo.csr.padded
-        csr_indices = topo.csr.indices
-        csr_indptr = topo.csr.indptr
         n = topo.n_nodes
-        airtime = cfg.packet_airtime
+        padded_nbrs, padded_valid = topo.csr.padded
+        t_frame, t_active = cfg.t_frame, cfg.t_active
         always_on = self.mode is SchedulingMode.ALWAYS_ON
-        t_gen, first_tx = self._generation_times(index)
+        n_slots = len(indices)
+        index_arr = np.asarray(indices, dtype=np.int64)
+        starts = [self._generation_times(index) for index in indices]
+        offsets = np.arange(n_slots, dtype=np.int64) * n
 
-        discovered = np.zeros(n, dtype=bool)
-        receive_t = np.zeros(n, dtype=np.float64)
-        hops_arr = np.full(n, -1, dtype=np.int64)
-        parents_arr = np.full(n, -1, dtype=np.int64)
-        claim_row = np.empty(n, dtype=np.int64)  # first-claim scratch
-        if self._failed_mask is not None:
-            # Failed radios are masked out of every frontier gather by
-            # pre-marking them discovered; the unreached patch below puts
-            # them back to None.  Zero per-batch cost when nothing failed.
-            discovered |= self._failed_mask
-        discovered[self.source] = True
-        receive_t[self.source] = t_gen
-        hops_arr[self.source] = 0
-        n_transmissions = 0
-        n_immediate = 0
-        n_normal = 1  # the source's initial normal broadcast
-
-        node_ids = np.arange(n, dtype=np.int64)
-        # One whole-network p-coin draw covers the broadcast: the key is
-        # (node, index), so every per-batch lookup is a slice of this table.
-        if always_on:
-            forwards_all = np.ones(n, dtype=bool)
+        failed = self._failed_mask
+        # Failed radios are masked out of every gather by pre-marking them
+        # discovered; the output pass puts them back to None.
+        if failed is None:
+            discovered = np.zeros(n_slots * n, dtype=bool)
         else:
-            forwards_all = (
-                hash_to_unit_interval_array(
-                    self._seed ^ self._p_salt, node_ids, index
-                )
-                < self.params.p
-            )
-        # Awake masks are keyed per frame (or once per broadcast in the
-        # sticky-ablation scope) and drawn whole-network on first need —
-        # one vectorized draw per frame instead of one per batch.
-        if self.q_coin_scope == "frame":
-            q_key: Optional[int] = None  # depends on the batch's send time
-        else:
-            q_key = -1 - index
-        awake_masks: Dict[int, np.ndarray] = {}
+            discovered = np.tile(failed, n_slots)
+        receive_t = np.zeros(n_slots * n, dtype=np.float64)
+        hops_arr = np.full(n_slots * n, -1, dtype=np.int64)
+        parents_arr = np.full(n_slots * n, -1, dtype=np.int64)
+        claim_row = np.empty(n_slots * n, dtype=np.int64)  # first-claim buffer
+        sources = offsets + self.source
+        discovered[sources] = True
+        receive_t[sources] = [t_gen for t_gen, _ in starts]
+        hops_arr[sources] = 0
 
-        def awake_mask(key: int) -> np.ndarray:
-            mask = awake_masks.get(key)
-            if mask is None:
-                mask = (
-                    hash_to_unit_interval_array(
-                        self._seed ^ self._q_salt, node_ids, key
+        node_ids = np.arange(n)
+        # One (B, n) p-coin table drawn up front: the key is (node, index),
+        # so every per-round lookup is a gather from it.
+        forwards_all: Optional[np.ndarray] = None
+        if not always_on:
+            forwards_all = NodeCoins(self._seed ^ self._p_salt, n).heads(
+                self.params.p, node_ids, index_arr[:, None]
+            ).ravel()
+        q_coins = NodeCoins(self._seed ^ self._q_salt, n)
+        awake_masks: Dict[int, np.ndarray] = {}  # per q-coin key, one broadcast
+        # Pending transmissions in creation order: send times, and rows of
+        # (slot, sender, hop, immediate?) moved as one block.
+        p_time = np.array([first_tx for _, first_tx in starts], dtype=np.float64)
+        p_rows = np.zeros((n_slots, 4), dtype=np.int64)
+        p_rows[:, 0] = np.arange(n_slots)
+        p_rows[:, 1] = self.source
+        single = n_slots == 1
+        width = padded_nbrs.shape[1]
+        # Row gathers use ``take``, which is several times cheaper than
+        # fancy indexing on these small 2-D arrays.
+        while p_time.size:
+            # One broadcast needs no per-slot minimum, and its send time
+            # stays a scalar through the round (the scalar loop's own
+            # methods then give its timings).
+            if single:
+                t_send = float(p_time.min())
+                take = p_time == t_send
+            else:
+                earliest = np.full(n_slots, np.inf)
+                np.minimum.at(earliest, p_rows[:, 0], p_time)
+                take = p_time == earliest.take(p_rows[:, 0])
+            now, later = np.flatnonzero(take), np.flatnonzero(~take)
+            if not single:
+                t_send = p_time.take(now)
+            batch = p_rows.take(now, axis=0)
+            p_time, p_rows = p_time.take(later), p_rows.take(later, axis=0)
+            slot, sender, _hop, immediate = batch.T
+
+            # Row-major over (sender, neighbour position) = the scalar visit
+            # order, so a node's first occurrence is its scalar first claim.
+            nbrs2d = padded_nbrs.take(sender, axis=0)
+            flat2d = nbrs2d if single else nbrs2d + offsets.take(slot)[:, None]
+            keep2d = padded_valid.take(sender, axis=0) & ~discovered.take(flat2d)
+            claims = np.flatnonzero(keep2d)
+            rows = claims // width
+            cand = flat2d.take(claims)
+            if not always_on and immediate.any():
+                # Immediate forwards outside an ATIM window only reach
+                # neighbours whose q-coin, keyed by (node, frame) or by
+                # (node, -1 - index) in the sticky-ablation scope, kept
+                # them awake; normal forwards (post-ATIM) reach all.
+                awake = None
+                if single:
+                    if not self.in_active_window(t_send):
+                        # One broadcast meets a frame over many rounds:
+                        # draw the frame's whole-network mask once.
+                        key = (
+                            self.frame_of(t_send)
+                            if self.q_coin_scope == "frame"
+                            else -1 - indices[0]
+                        )
+                        mask = awake_masks.get(key)
+                        if mask is None:
+                            mask = awake_masks[key] = q_coins.heads(
+                                self.params.q, node_ids, key
+                            )
+                        awake = mask.take(cand) | (immediate == 0).take(rows)
+                else:
+                    # Many broadcasts span many frames per round: hash
+                    # just the candidate neighbours.
+                    frame = np.floor(t_send / t_frame)
+                    check = (immediate == 1) & (t_send - frame * t_frame >= t_active)
+                    if check.any():
+                        if self.q_coin_scope == "frame":
+                            keys = frame.astype(np.int64)
+                        else:
+                            keys = -1 - index_arr.take(slot)
+                        awake = q_coins.heads(
+                            self.params.q, nbrs2d.take(claims), keys.take(rows)
+                        ) | ~check.take(rows)
+                if awake is not None:
+                    cand, rows = cand[awake], rows[awake]
+            if cand.size == 0:
+                continue
+            # First-claim resolution without a sort: scatter row ids in
+            # reverse so the earliest claim lands last, then keep exactly
+            # the entries whose row won.  (Duplicate-index assignment is
+            # last-write-wins; a row never lists a neighbour twice.)
+            claim_row[cand[::-1]] = rows[::-1]
+            first = claim_row.take(cand) == rows
+            winners = cand[first]  # already in claim (seq) order
+            owner = rows[first]
+
+            # Arrival, and each winner's own transmission time: immediate
+            # forwards at _defer_out_of_window(t_arrive + l1), the rest at
+            # _next_window_send_time(t_arrive).  The arrays repeat those
+            # methods' float expressions.
+            if single:
+                t_arrive = t_send + cfg.packet_airtime
+                t_imm = self._defer_out_of_window(t_arrive + cfg.l1)
+                t_norm = self._next_window_send_time(t_arrive)
+            else:
+                t_arrive = (t_send + cfg.packet_airtime).take(owner)
+                t_imm = t_arrive + cfg.l1
+                if not always_on:
+                    start = np.floor(t_imm / t_frame) * t_frame
+                    t_imm = np.where(t_imm - start < t_active, start + t_active, t_imm)
+                    t_norm = (
+                        (np.floor(t_arrive / t_frame) + 1) * t_frame + t_active + cfg.l1
                     )
-                    < self.params.q
+            receive_t[winners] = t_arrive
+            discovered[winners] = True
+            block = batch.take(owner, axis=0)  # the winners' rows, rewritten
+            block[:, 2] += 1
+            hops_arr[winners] = block[:, 2]
+            parents_arr[winners] = block[:, 1]
+            block[:, 1] = winners if single else winners - offsets.take(block[:, 0])
+            if always_on:
+                block[:, 3] = 1
+                t_next = np.full(winners.size, t_imm) if single else t_imm
+            else:
+                forwards = forwards_all.take(winners)
+                block[:, 3] = forwards
+                t_next = np.where(forwards, t_imm, t_norm)
+            p_rows = np.concatenate((p_rows, block))
+            p_time = np.concatenate((p_time, t_next))
+
+        # Every reached non-source node made exactly one transmission, and
+        # its p-coin says which kind; the source made one normal broadcast.
+        reached = (hops_arr > 0).reshape(n_slots, n)
+        n_reached = reached.sum(axis=1).tolist()
+        if always_on:
+            n_immediate = n_reached
+        else:
+            n_immediate = (reached & forwards_all.reshape(n_slots, n)).sum(axis=1).tolist()
+        outcomes: List[BroadcastOutcome] = []
+        for k, index in enumerate(indices):
+            # Built one broadcast at a time, so only one row of Python
+            # lists is ever alive.
+            lo, hi = k * n, (k + 1) * n
+            receive_list: List[Optional[float]] = receive_t[lo:hi].tolist()
+            hops_list: List[Optional[int]] = hops_arr[lo:hi].tolist()
+            parents_list: List[Optional[int]] = parents_arr[lo:hi].tolist()
+            parents_list[self.source] = None
+            unreached = ~discovered[lo:hi]
+            if failed is not None:
+                unreached |= failed
+            for v in np.flatnonzero(unreached).tolist():
+                receive_list[v] = None
+                hops_list[v] = None
+                parents_list[v] = None
+            n_normal = 1 + n_reached[k] - n_immediate[k]
+            outcomes.append(
+                BroadcastOutcome(
+                    index=index,
+                    source=self.source,
+                    t_generated=starts[k][0],
+                    receive_times=tuple(receive_list),
+                    hops=tuple(hops_list),
+                    n_transmissions=n_immediate[k] + n_normal,
+                    n_immediate_forwards=n_immediate[k],
+                    n_normal_forwards=n_normal,
+                    parents=tuple(parents_list),
                 )
-                awake_masks[key] = mask
-            return mask
-
-        # Pending transmissions, grouped by exact send time.  Each chunk is
-        # (senders, hops, immediate-flags) in seq order; chunks within a
-        # list and lists across times preserve global seq order because
-        # appends only ever carry fresh (larger) sequence numbers.
-        Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
-        pending: Dict[float, List[Chunk]] = {}
-        times: List[float] = []
-
-        def push(t: float, chunk: Chunk) -> None:
-            bucket = pending.get(t)
-            if bucket is None:
-                pending[t] = [chunk]
-                heapq.heappush(times, t)
-            else:
-                bucket.append(chunk)
-
-        push(
-            first_tx,
-            (
-                np.array([self.source], dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(1, dtype=bool),
-            ),
-        )
-
-        while times:
-            t_send = heapq.heappop(times)
-            chunks = pending.pop(t_send)
-            if len(chunks) == 1:
-                senders, sender_hops, immediate = chunks[0]
-            else:
-                senders = np.concatenate([c[0] for c in chunks])
-                sender_hops = np.concatenate([c[1] for c in chunks])
-                immediate = np.concatenate([c[2] for c in chunks])
-            n_transmissions += len(senders)
-            t_arrive = t_send + airtime
-
-            if len(senders) == 1:
-                # Single transmitter: its CSR row is already duplicate-free
-                # and in visit order, so no first-claim resolution needed.
-                s = int(senders[0])
-                row = csr_indices[csr_indptr[s] : csr_indptr[s + 1]]
-                keep = ~discovered[row]
-                if (
-                    not always_on
-                    and immediate[0]
-                    and not self.in_active_window(t_send)
-                ):
-                    key = self.frame_of(t_send) if q_key is None else q_key
-                    keep &= awake_mask(key)[row]
-                winners = row[keep]
-                if winners.size == 0:
-                    continue
-                receive_t[winners] = t_arrive
-                discovered[winners] = True
-                hops_arr[winners] = sender_hops[0] + 1
-                parents_arr[winners] = s
-            else:
-                # Row-major over (sender, neighbour-position) = the scalar
-                # visit order, so first occurrence = scalar first claim.
-                nbrs2d = padded_nbrs[senders]
-                keep2d = padded_valid[senders] & ~discovered[nbrs2d]
-                if (
-                    not always_on
-                    and immediate.any()
-                    and not self.in_active_window(t_send)
-                ):
-                    # Immediate forwards only reach neighbours whose q-coin
-                    # kept them awake; normal ones (post-ATIM) reach all.
-                    key = self.frame_of(t_send) if q_key is None else q_key
-                    keep2d &= awake_mask(key)[nbrs2d] | ~immediate[:, None]
-                rows, cols = np.nonzero(keep2d)
-                if rows.size == 0:
-                    continue
-                cand = nbrs2d[rows, cols]
-                # First-claim resolution without a sort: scatter row ids in
-                # reverse so the earliest claim lands last, then keep exactly
-                # the entries whose row won.  (Duplicate-index assignment is
-                # last-write-wins; a row never lists a neighbour twice.)
-                claim_row[cand[::-1]] = rows[::-1]
-                first_mask = claim_row[cand] == rows
-                winners = cand[first_mask]  # already in claim (seq) order
-                winner_owner = rows[first_mask]
-
-                receive_t[winners] = t_arrive
-                discovered[winners] = True
-                hops_arr[winners] = sender_hops[winner_owner] + 1
-                parents_arr[winners] = senders[winner_owner]
-
-            forwards = forwards_all[winners]
-            winner_hops = hops_arr[winners]
-            n_imm = int(forwards.sum())
-            n_immediate += n_imm
-            n_normal += len(winners) - n_imm
-            t_imm = self._defer_out_of_window(t_arrive + cfg.l1)
-            t_norm = self._next_window_send_time(t_arrive)
-            if n_imm == len(winners):
-                push(t_imm, (winners, winner_hops, forwards))
-            elif n_imm == 0:
-                push(t_norm, (winners, winner_hops, forwards))
-            elif t_imm == t_norm:
-                # Rare alignment: keep one interleaved chunk so intra-batch
-                # seq order still matches the scalar push order.
-                push(t_imm, (winners, winner_hops, forwards))
-            else:
-                push(t_imm, (winners[forwards], winner_hops[forwards], forwards[forwards]))
-                quiet = ~forwards
-                push(t_norm, (winners[quiet], winner_hops[quiet], forwards[quiet]))
-
-        receive_list: List[Optional[float]] = receive_t.tolist()
-        hops_list: List[Optional[int]] = hops_arr.tolist()
-        parents_list: List[Optional[int]] = parents_arr.tolist()
-        parents_list[self.source] = None
-        # Patch only the unreached nodes back to None (usually few or none);
-        # failed nodes were pre-marked discovered, so fold them back in.
-        unreached = ~discovered
-        if self._failed_mask is not None:
-            unreached |= self._failed_mask
-        for v in np.nonzero(unreached)[0].tolist():
-            receive_list[v] = None
-            hops_list[v] = None
-            parents_list[v] = None
-        return BroadcastOutcome(
-            index=index,
-            source=self.source,
-            t_generated=t_gen,
-            receive_times=tuple(receive_list),
-            hops=tuple(hops_list),
-            n_transmissions=n_transmissions,
-            n_immediate_forwards=n_immediate,
-            n_normal_forwards=n_normal,
-            parents=tuple(parents_list),
-        )
+            )
+        return outcomes
 
     def run_campaign(self, n_broadcasts: int) -> CampaignResult:
         """Generate ``n_broadcasts`` updates and aggregate their outcomes.
@@ -711,7 +715,10 @@ class IdealSimulator:
             nodes=self.topology.n_nodes,
             fast_path=self._use_fast_path(),
         ):
-            outcomes = [self.run_broadcast(i) for i in range(n_broadcasts)]
+            if self._use_fast_path():
+                outcomes = self._run_lockstep(range(n_broadcasts))
+            else:
+                outcomes = [self.run_broadcast(i) for i in range(n_broadcasts)]
         duration = n_broadcasts * self.config.update_interval
         total_joules = self._campaign_energy(outcomes, duration)
         return CampaignResult(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.topology import Topology
 from repro.util.union_find import UnionFind
@@ -121,6 +121,61 @@ def bond_sweep(
     )
 
 
+def first_bond_counts(
+    topology: Topology,
+    needed: Sequence[int],
+    rng: random.Random,
+    source: Optional[int] = None,
+) -> List[Optional[int]]:
+    """One sweep, read only where the source's cluster reaches each size.
+
+    Returns, for every entry of ``needed``, the smallest occupied-bond
+    count at which the source's cluster holds at least that many nodes
+    (``None`` if it never does) — what
+    :meth:`BondSweepResult.first_bond_count_reaching` reads off a full
+    :func:`bond_sweep`, which stays the oracle.  The edge permutation is
+    drawn exactly as there, so ``rng`` ends in the same state, but the
+    union-find is two local lists (path halving, union by size), the
+    source's root is tracked as merges happen, and the sweep stops once
+    the largest size is reached.
+    """
+    if source is None:
+        source = _default_source(topology)
+    csr = topology.csr
+    order = list(range(csr.n_edges))
+    rng.shuffle(order)
+    targets = sorted(set(needed))
+    counts: Dict[int, int] = {}
+    k = 0
+    while k < len(targets) and targets[k] <= 1:
+        counts[targets[k]] = 0  # the source alone already covers it
+        k += 1
+    if k < len(targets):
+        parent = list(range(topology.n_nodes))
+        size = [1] * topology.n_nodes
+        source_root = source
+        edges = zip(csr.edge_u[order].tolist(), csr.edge_v[order].tolist())
+        for m, (u, v) in enumerate(edges, 1):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                continue
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            if v == source_root or u == source_root:
+                source_root = u
+                while k < len(targets) and size[u] >= targets[k]:
+                    counts[targets[k]] = m
+                    k += 1
+                if k == len(targets):
+                    break
+    return [counts.get(count) for count in needed]
+
+
 def coverage_bond_fraction(
     topology: Topology,
     coverage: float,
@@ -138,15 +193,16 @@ def coverage_bond_fraction(
     """
     if runs <= 0:
         raise ValueError(f"runs must be > 0, got {runs}")
+    check_probability("coverage", coverage)
+    needed = max(1, math.ceil(coverage * topology.n_nodes))
     fractions: List[float] = []
     for _ in range(runs):
-        sweep = bond_sweep(topology, rng, source)
-        count = sweep.first_bond_count_reaching(coverage)
+        (count,) = first_bond_counts(topology, (needed,), rng, source)
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {coverage}; is the graph connected?"
             )
-        fractions.append(count / sweep.n_edges)
+        fractions.append(count / topology.csr.n_edges)
     return fractions
 
 

@@ -74,16 +74,57 @@ def coverage_site_fraction(
     rng: random.Random,
     runs: int = 20,
 ) -> List[float]:
-    """Per-run critical site fractions for the largest cluster to reach ``coverage``."""
+    """Per-run critical site fractions for the largest cluster to reach ``coverage``.
+
+    Each run reads only the one number it needs: the active-site count at
+    which the largest cluster first reaches ``coverage``.  The site order
+    is drawn exactly as :func:`site_sweep` (the oracle) draws it, so
+    ``rng`` ends in the same state, but the union-find is two local lists
+    and the sweep stops at the threshold.
+    """
     if runs <= 0:
         raise ValueError(f"runs must be > 0, got {runs}")
+    check_probability("coverage", coverage)
+    n = topology.n_nodes
+    needed = max(1, math.ceil(coverage * n))
+    adjacency = [topology.neighbors(v) for v in topology.nodes()]
     fractions: List[float] = []
     for _ in range(runs):
-        sweep = site_sweep(topology, rng)
-        count = sweep.first_site_count_reaching(coverage)
+        count = _first_site_count(adjacency, needed, rng)
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {coverage}; is the graph connected?"
             )
-        fractions.append(count / topology.n_nodes)
+        fractions.append(count / n)
     return fractions
+
+
+def _first_site_count(
+    adjacency: List[Tuple[int, ...]], needed: int, rng: random.Random
+) -> Optional[int]:
+    """Active-site count at which some cluster first holds ``needed`` nodes."""
+    n = len(adjacency)
+    order = list(range(n))
+    rng.shuffle(order)
+    parent = list(range(n))
+    size = [1] * n
+    active = [False] * n
+    # Clusters only grow by merging into the newly activated site, so the
+    # largest cluster first reaches ``needed`` exactly when that site's does.
+    for m, site in enumerate(order, 1):
+        active[site] = True
+        root = site
+        for nbr in adjacency[site]:
+            if not active[nbr]:
+                continue
+            while parent[nbr] != nbr:
+                parent[nbr] = nbr = parent[parent[nbr]]
+            if nbr == root:
+                continue
+            if size[root] < size[nbr]:
+                root, nbr = nbr, root
+            parent[nbr] = root
+            size[root] += size[nbr]
+        if size[root] >= needed:
+            return m
+    return None

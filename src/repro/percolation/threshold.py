@@ -12,6 +12,7 @@ Connects the percolation machinery to PBBF's knobs:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -70,17 +71,18 @@ def _sweep_thresholds(
     rng: random.Random,
 ) -> List[float]:
     """One sweep, thresholds for every level read off the same run."""
-    from repro.percolation.bond import bond_sweep  # local to avoid cycle at import
+    from repro.percolation.bond import first_bond_counts  # local to avoid cycle at import
 
-    sweep = bond_sweep(topology, rng)
+    n_nodes = topology.n_nodes
+    needed = [max(1, math.ceil(level * n_nodes)) for level in levels]
+    counts = first_bond_counts(topology, needed, rng)
     fractions: List[float] = []
-    for level in levels:
-        count = sweep.first_bond_count_reaching(level)
+    for level, count in zip(levels, counts):
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {level}; is the topology connected?"
             )
-        fractions.append(count / sweep.n_edges)
+        fractions.append(count / topology.csr.n_edges)
     return fractions
 
 

@@ -85,10 +85,13 @@ def _as_uint64(keys: object) -> np.ndarray:
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_splitmix64` (uint64 arithmetic wraps mod 2^64)."""
-    x = x + _U64_GAMMA
-    x = (x ^ (x >> np.uint64(30))) * _U64_MIX1
-    x = (x ^ (x >> np.uint64(27))) * _U64_MIX2
-    return x ^ (x >> np.uint64(31))
+    x = x + _U64_GAMMA  # a fresh array: the in-place steps below own it
+    x ^= x >> np.uint64(30)
+    x *= _U64_MIX1
+    x ^= x >> np.uint64(27)
+    x *= _U64_MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def hash_to_unit_interval_array(seed: int, *keys: object) -> np.ndarray:
@@ -124,6 +127,29 @@ def hash_to_unit_interval_array(seed: int, *keys: object) -> np.ndarray:
         state = np.asarray(np.uint64(scalar_state))
     # Exact power-of-two scaling: bit-identical to ``state / float(1 << 64)``.
     return state.astype(np.float64) * 2.0**-64
+
+
+class NodeCoins:
+    """Indexed coins ``hash_to_unit_interval(seed, node, key)`` over nodes ``0 .. n-1``.
+
+    The ``(seed, node)`` part of every chain is folded once, up front, so
+    a draw costs one splitmix64 pass over the requested elements — the
+    ideal kernel's per-round q-coins and per-campaign p-coin table.  Each
+    element equals :func:`hash_to_unit_interval_array` ``(seed, node, key)``.
+    """
+
+    def __init__(self, seed: int, n_nodes: int) -> None:
+        self._states = _splitmix64_array(
+            np.uint64(_splitmix64(seed & _MASK64)) ^ np.arange(n_nodes, dtype=np.uint64)
+        )
+
+    def heads(self, probability: float, nodes: object, keys: object) -> np.ndarray:
+        """``hash_to_unit_interval(seed, node, key) < probability``, elementwise.
+
+        ``nodes`` indexes ``0 .. n-1``; ``nodes`` and ``keys`` broadcast.
+        """
+        state = _splitmix64_array(self._states[nodes] ^ _as_uint64(keys))
+        return state.astype(np.float64) * 2.0**-64 < probability
 
 
 class RandomStreams:

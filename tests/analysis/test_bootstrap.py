@@ -1,12 +1,80 @@
 """Deterministic bootstrap CIs: content-derived, process-independent."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bootstrap import (
     _percentile,
     bootstrap_ci95,
     bootstrap_mean_samples,
 )
+from repro.util.rng import fold_seed
+
+
+def loop_mean_samples(values, base_seed, *labels, n_resamples=200):
+    """The original one-``randrange``-at-a-time loop: the parity oracle."""
+    values = list(values)
+    n = len(values)
+    rng = random.Random(fold_seed(base_seed, *labels))
+    means = []
+    for _ in range(n_resamples):
+        total = 0.0
+        for _ in range(n):
+            total += values[rng.randrange(n)]
+        means.append(total / n)
+    return means
+
+
+def bits(values):
+    return [value.hex() for value in values]
+
+
+_MAGNITUDE = st.floats(min_value=-9.0, max_value=12.0)
+_VALUE = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+    _MAGNITUDE,
+)
+
+
+class TestVectorizedMatchesLoop:
+    """The bulk draw must reproduce the scalar loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(_VALUE, min_size=1, max_size=33),
+        seed=st.integers(min_value=0, max_value=2**40),
+        label=st.text(max_size=8),
+        n_resamples=st.sampled_from((1, 2, 7, 200, 1000)),
+    )
+    def test_random_samples(self, values, seed, label, n_resamples):
+        assert bits(
+            bootstrap_mean_samples(values, seed, label, n_resamples=n_resamples)
+        ) == bits(loop_mean_samples(values, seed, label, n_resamples=n_resamples))
+
+    @pytest.mark.parametrize("values", [[4.5], [1.0, -2.5], [0.1, 0.2]])
+    def test_one_and_two_observations(self, values):
+        for seed in range(50):
+            assert bits(bootstrap_mean_samples(values, seed, "x")) == bits(
+                loop_mean_samples(values, seed, "x")
+            )
+
+    def test_negative_zeros_sum_like_the_loop(self):
+        # The loop's running total starts at +0.0, so it never ends at -0.0.
+        values = [-0.0, -0.0, -0.0]
+        assert bits(bootstrap_mean_samples(values, 3, "z")) == bits(
+            loop_mean_samples(values, 3, "z")
+        )
+
+    def test_integer_values(self):
+        values = [3, -7, 2**60, 11]
+        assert bits(bootstrap_mean_samples(values, 5, "i", n_resamples=500)) == bits(
+            loop_mean_samples(values, 5, "i", n_resamples=500)
+        )
 
 
 class TestDeterminism:

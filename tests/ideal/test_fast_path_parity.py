@@ -1,13 +1,14 @@
 """Scalar-vs-vectorized parity contract for the ideal simulator.
 
-The vectorized frontier kernel (`fast_path=True`) must produce
-*bit-identical* :class:`BroadcastOutcome`\\ s to the scalar heap loop
-(`fast_path=False`) — same receive times (float-for-float), same hop
-counts, same spanning-tree parents, same transmission counters — across
-both scheduling modes, both q-coin scopes, and a wide seed/parameter
-matrix.  This equality is what lets the fast path replace the reference
-implementation in every figure campaign without changing a single
-plotted number.
+The vectorized lockstep kernel (`fast_path=True`), which advances all of
+a campaign's broadcasts together, must produce *bit-identical*
+:class:`BroadcastOutcome`\\ s to the scalar heap loop (`fast_path=False`)
+run one broadcast at a time — same receive times (float-for-float), same
+hop counts, same spanning-tree parents, same transmission counters —
+across both scheduling modes, both q-coin scopes, and a wide
+seed/parameter matrix.  This equality is what lets the fast path replace
+the reference implementation in every figure campaign without changing a
+single plotted number.
 """
 
 import itertools
@@ -89,6 +90,77 @@ class TestBroadcastParity:
                 GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5,
                 mode=mode, q_coin_scope=scope, fast_path=True,
             ).run_campaign(4)
+            assert a.outcomes == b.outcomes
+            assert a.total_joules == b.total_joules
+            assert a.shortest_hops == b.shortest_hops
+
+
+def scalar_outcomes(topology, params, n, **kwargs):
+    sim = IdealSimulator(topology, params, CONFIG, fast_path=False, **kwargs)
+    return [sim.run_broadcast(i) for i in range(n)]
+
+
+def lockstep_campaign(topology, params, n, **kwargs):
+    return IdealSimulator(
+        topology, params, CONFIG, fast_path=True, **kwargs
+    ).run_campaign(n)
+
+
+class TestLockstepCampaignParity:
+    """``run_campaign(n)`` advances n broadcasts together; each must match
+    the scalar loop run alone."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("p,q", OPERATING_POINTS)
+    def test_mode_scope_param_matrix_over_20_seeds(self, mode, scope, p, q):
+        params = PBBFParams(p, q)
+        for seed in range(20):
+            kwargs = dict(seed=seed, mode=mode, q_coin_scope=scope)
+            reference = scalar_outcomes(GRID, params, 9, **kwargs)
+            for n in (1, 2, 9):
+                campaign = lockstep_campaign(GRID, params, n, **kwargs)
+                assert campaign.outcomes == reference[:n]
+
+    def test_random_topology_with_failed_nodes(self):
+        topo = RandomTopology.connected(80, 40.0, 10.0, random.Random(9))
+        failed = tuple(sorted(random.Random(3).sample(range(1, 80), 15)))
+        for seed in range(5):
+            kwargs = dict(seed=seed, source=0, failed_nodes=failed)
+            reference = scalar_outcomes(topo, PBBFParams(0.4, 0.5), 9, **kwargs)
+            campaign = lockstep_campaign(topo, PBBFParams(0.4, 0.5), 9, **kwargs)
+            assert campaign.outcomes == reference
+            assert all(o.receive_times[v] is None for o in reference for v in failed)
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_non_center_source(self, scope):
+        kwargs = dict(seed=2, source=7, q_coin_scope=scope)
+        reference = scalar_outcomes(GRID, PBBFParams(0.5, 0.6), 9, **kwargs)
+        campaign = lockstep_campaign(GRID, PBBFParams(0.5, 0.6), 9, **kwargs)
+        assert campaign.outcomes == reference
+
+    @pytest.mark.parametrize("index", [1, 4, 8])
+    def test_run_broadcast_at_nonzero_index(self, index):
+        """``run_broadcast(i)`` is the kernel over ``[i]``: it must match both
+        the scalar loop and broadcast ``i`` of a whole lockstep campaign."""
+        params = PBBFParams(0.3, 0.4)
+        fast = IdealSimulator(GRID, params, CONFIG, seed=11, fast_path=True)
+        scalar = IdealSimulator(GRID, params, CONFIG, seed=11, fast_path=False)
+        alone = fast.run_broadcast(index)
+        assert alone == scalar.run_broadcast(index)
+        assert alone == fast.run_campaign(9).outcomes[index]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_total_joules_and_hops_equal(self, mode):
+        failed = (0, 1, 16, 17, 44, 199)
+        for n in (1, 2, 9):
+            a = IdealSimulator(
+                GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5, mode=mode,
+                fast_path=False, failed_nodes=failed,
+            ).run_campaign(n)
+            b = lockstep_campaign(
+                GRID, PBBFParams(0.5, 0.6), n, seed=5, mode=mode, failed_nodes=failed
+            )
             assert a.outcomes == b.outcomes
             assert a.total_joules == b.total_joules
             assert a.shortest_hops == b.shortest_hops

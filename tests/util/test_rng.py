@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import (
+    NodeCoins,
     RandomStreams,
     hash_to_unit_interval,
     hash_to_unit_interval_array,
@@ -153,3 +154,29 @@ class TestHashToUnitIntervalArray:
         out = hash_to_unit_interval_array(3, np.arange(12).reshape(3, 4), 9)
         assert out.shape == (3, 4)
         assert out.dtype == np.float64
+
+
+class TestNodeCoins:
+    """Pre-folded node coins must flip exactly like the scalar hash."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_KEY,
+        nodes=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=32),
+        keys=st.lists(_KEY, min_size=1, max_size=4),
+        probability=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_heads_equal_scalar_coins(self, seed, nodes, keys, probability):
+        coins = NodeCoins(seed, 64)
+        heads = coins.heads(probability, np.array(nodes)[None, :], np.array(keys)[:, None])
+        reference = [
+            [hash_to_unit_interval(seed, node, key) < probability for node in nodes]
+            for key in keys
+        ]
+        assert heads.tolist() == reference
+
+    def test_scalar_key_and_whole_network(self):
+        heads = NodeCoins(9, 500).heads(0.4, np.arange(500), 17)
+        assert heads.tolist() == (
+            hash_to_unit_interval_array(9, np.arange(500), 17) < 0.4
+        ).tolist()
